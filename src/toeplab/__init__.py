@@ -45,7 +45,6 @@ from .toeplitz import (
     WindowError,
     commutator_report,
     conjugation_identity_check,
-    gu_lee_F,
     shift,
     truncate,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "diagonalize_check",
     "gamma",
     "gamma_adjoint",
-    "gu_lee_F",
     "inner_multiple_test",
     "projection_intertwine_check",
     "psi_lambda_blocks",

@@ -126,7 +126,9 @@ def verify_reducing(
 
     Reports ||[Q, T]||_F and ||[Q, T*]||_F for the truncation T, and checks
     the equivalent formulation: in an orthonormal basis adapted to
-    range(Q) + range(I - Q), the off-diagonal blocks of T must vanish.
+    range(Q) + range(I - Q), the off-diagonal blocks of T must vanish.  Their
+    norms are read as ||QT - QTQ||_F and ||TQ - QTQ||_F, and the rank as
+    trace(Q), so no eigendecomposition of Q is formed.
 
     Reads the whole section, not a window, so any order >= 1 whose section
     matches the projector's ambient dimension is accepted.
@@ -142,14 +144,16 @@ def verify_reducing(
         raise ValueError(
             f"ambient dimension mismatch: projector {q.ambient_dim}, truncation {t.shape[0]}"
         )
-    comm_t = float(np.linalg.norm(q.matrix @ t - t @ q.matrix))
+    qt = q.matrix @ t
+    tq = t @ q.matrix
+    comm_t = float(np.linalg.norm(qt - tq))
     comm_ts = float(np.linalg.norm(q.matrix @ t.conj().T - t.conj().T @ q.matrix))
 
-    vals, vecs = np.linalg.eigh(q.matrix)
-    w = vecs[:, ::-1]  # range first (eigenvalues near 1), complement after
-    r = int(round(float(np.sum(vals))))
-    m = w.conj().T @ t @ w
-    off = max(float(np.linalg.norm(m[:r, r:])), float(np.linalg.norm(m[r:, :r])))
+    # QT(I - Q) and (I - Q)TQ are the off-diagonal blocks in the adapted
+    # basis, up to a unitary change of basis that keeps the Frobenius norm
+    qtq = qt @ q.matrix
+    r = int(round(float(np.trace(q.matrix).real)))
+    off = max(float(np.linalg.norm(qt - qtq)), float(np.linalg.norm(tq - qtq)))
 
     reducing = comm_t <= tolerance and comm_ts <= tolerance
     return ReducingReport(

@@ -123,16 +123,6 @@ def scalar_to_json(phi: ScalarSymbol) -> dict:
     }
 
 
-def matrix_to_json(phi: MatrixSymbol) -> dict:
-    return {
-        "dim": phi.dim,
-        "coeffs": {
-            str(n): [[complex_pair(mat[i, j]) for j in range(phi.dim)] for i in range(phi.dim)]
-            for n, mat in phi.items()
-        },
-    }
-
-
 def circulant_to_json(c: CirculantSymbol) -> dict:
     return {"circulant": c.n, "row": [scalar_to_json(phi) for phi in c.row]}
 

@@ -294,7 +294,7 @@ def criterion_known_fixtures(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     k = commutator_matrix(one + z, "binormal", NUMERIC_ORDER)
     rep = commutator_report(one + z, "binormal", NUMERIC_ORDER, NUMERIC_TOL)
     checks["one_plus_z_violated"] = rep.verdict == VERDICT_VIOLATED
-    checks["one_plus_z_exact_entries"] = (
+    checks["one_plus_z_exact_entries"] = bool(
         k.data[0, 1] == 1.0 + 0.0j
         and k.data[1, 0] == -1.0 + 0.0j
         and abs(k.data[0, 0]) == 0.0

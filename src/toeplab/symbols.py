@@ -197,10 +197,6 @@ class MatrixSymbol:
                     coeffs.setdefault(n, np.zeros((d, d), dtype=complex))[i, j] = c
         return cls(d, coeffs)
 
-    @classmethod
-    def from_scalar(cls, phi: ScalarSymbol) -> "MatrixSymbol":
-        return phi.as_matrix()
-
     # -- structure queries ---------------------------------------------------
 
     @property

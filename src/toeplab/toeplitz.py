@@ -17,6 +17,11 @@ differences take the maximum, adjoints and scalar multiples keep it.  Reports
 read entries only from the exact window, so a nonzero entry there disproves
 an operator identity, while a clean window is reported as
 "no violation up to the window", never as a proof.
+
+The margin is the only order policy: any order >= 1 builds a section, and
+``window_max_abs`` raises ``WindowError`` exactly when a product's window is
+empty (order <= margin).  ``commutator_report`` is the one reader that turns
+a commutator window into a ``CommutatorReport``.
 """
 
 from __future__ import annotations
@@ -38,12 +43,6 @@ VERDICT_CLEAN = "no_violation_up_to_window"
 
 class WindowError(ValueError):
     """Truncation order too small for the requested window-exact computation."""
-
-
-def _as_matrix_symbol(symbol: MatrixSymbol | ScalarSymbol) -> MatrixSymbol:
-    if isinstance(symbol, ScalarSymbol):
-        return symbol.as_matrix()
-    return symbol
 
 
 @dataclass(frozen=True)
@@ -125,13 +124,13 @@ class ToeplitzTruncation:
 def truncate(symbol: MatrixSymbol | ScalarSymbol, order: int) -> ToeplitzTruncation:
     """Finite section with block (i, j) = coefficient at i - j.
 
-    The section is defined and exact for every order >= 1.  Sizing the
-    order for a window-exact read is the business of the window readers
-    (``window_max_abs`` and the commutator checks), not of this builder.
+    The section is defined and exact for every order >= 1.  Whether the
+    order leaves a product a window is decided by ``window_max_abs`` from
+    the product's margin, not by this builder.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    phi = _as_matrix_symbol(symbol)
+    phi = symbol.as_matrix() if isinstance(symbol, ScalarSymbol) else symbol
     w = phi.bandwidth
     d = phi.dim
     data = np.zeros((order * d, order * d), dtype=complex)
@@ -177,23 +176,22 @@ class CommutatorReport:
         }
 
 
-_COMMUTATOR_PROPERTIES = ("normal", "quasinormal", "binormal")
-
-
-def _require_window_order(order: int, bandwidth: int) -> None:
-    if order <= 4 * bandwidth + 4:
-        raise WindowError(
-            f"order {order} must exceed 4 * bandwidth + 4 = {4 * bandwidth + 4}"
-        )
+PROPERTIES = ("normal", "quasinormal", "binormal", "f-selfadjoint")
 
 
 def commutator_matrix(
     symbol: MatrixSymbol | ScalarSymbol, property: str, order: int
 ) -> ToeplitzTruncation:
-    """The truncation-level test matrix for one of the commutator identities."""
-    phi = _as_matrix_symbol(symbol)
-    _require_window_order(order, phi.bandwidth)
-    t = truncate(phi, order)
+    """The truncation-level test matrix for one of the commutator identities.
+
+    ``f-selfadjoint`` is F - F* with F = S* (T*T)(TT*) S - (T*T)(TT*) and S
+    the shift; for scalar symbols F = F* is equivalent to binormality.  The
+    product's margin is 2w, 3w, 4w or 4w + 2 (normal, quasinormal, binormal,
+    f-selfadjoint) for a symbol of bandwidth w; no order is refused here.
+    """
+    if property == "f-selfadjoint" and not isinstance(symbol, ScalarSymbol):
+        raise TypeError("the f-selfadjoint check takes a scalar symbol")
+    t = truncate(symbol, order)
     ts = t.adjoint()
     if property == "normal":
         return ts @ t - t @ ts
@@ -204,7 +202,12 @@ def commutator_matrix(
         a = ts @ t
         b = t @ ts
         return a @ b - b @ a
-    raise ValueError(f"unknown property {property!r}; expected one of {_COMMUTATOR_PROPERTIES}")
+    if property == "f-selfadjoint":
+        s = shift(1, order)
+        ab = (ts @ t) @ (t @ ts)
+        f = s.adjoint() @ ab @ s - ab
+        return f - f.adjoint()
+    raise ValueError(f"unknown property {property!r}; expected one of {PROPERTIES}")
 
 
 def commutator_report(
@@ -213,11 +216,13 @@ def commutator_report(
     order: int = DEFAULT_ORDER,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CommutatorReport:
-    """Evaluate [T*,T], [T*T,T] or [T*T,TT*] on the exact window.
+    """Evaluate [T*,T], [T*T,T], [T*T,TT*] or F - F* on the exact window.
 
     ``violated`` certifies the identity fails (a window entry is a true entry
     of the infinite commutator); the clean verdict is only a bound up to the
-    window, never a proof.
+    window, never a proof.  The order only has to exceed the product's own
+    margin (see ``commutator_matrix``); at or below it the window is empty
+    and ``WindowError`` is raised.
     """
     k = commutator_matrix(symbol, property, order)
     norm = k.window_max_abs()
@@ -226,38 +231,6 @@ def commutator_report(
         property=property,
         order=order,
         window_limit=k.window_limit,
-        window_norm=norm,
-        verdict=verdict,
-        tolerance=tolerance,
-    )
-
-
-def gu_lee_F(
-    phi: ScalarSymbol,
-    order: int = DEFAULT_ORDER,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> CommutatorReport:
-    """Self-adjointness test of F = S* (T*T)(TT*) S - (T*T)(TT*) on the window.
-
-    For scalar symbols, F = F* is equivalent to binormality of the Toeplitz
-    operator, so the window norm of F - F* certifies violations the same way
-    the direct commutator does.
-    """
-    if not isinstance(phi, ScalarSymbol):
-        raise TypeError("gu_lee_F takes a scalar symbol")
-    _require_window_order(order, phi.bandwidth)
-    t = truncate(phi, order)
-    ts = t.adjoint()
-    s = shift(1, order)
-    ab = (ts @ t) @ (t @ ts)
-    f = s.adjoint() @ ab @ s - ab
-    g = f - f.adjoint()
-    norm = g.window_max_abs()
-    verdict = VERDICT_VIOLATED if norm > tolerance else VERDICT_CLEAN
-    return CommutatorReport(
-        property="f-selfadjoint",
-        order=order,
-        window_limit=g.window_limit,
         window_norm=norm,
         verdict=verdict,
         tolerance=tolerance,
@@ -288,9 +261,4 @@ def convergence_rows(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[CommutatorReport]:
     """One report per requested truncation order (the CSV table content)."""
-    if property == "f-selfadjoint":
-        phi = symbol if isinstance(symbol, ScalarSymbol) else None
-        if phi is None:
-            raise ValueError("f-selfadjoint applies to scalar symbols only")
-        return [gu_lee_F(phi, n, tolerance) for n in orders]
     return [commutator_report(symbol, property, n, tolerance) for n in orders]

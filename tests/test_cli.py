@@ -37,7 +37,23 @@ def test_probe_t41_reports_at_order_4w(tmp_path):
 
 
 def test_check_keeps_the_window_guard(tmp_path):
-    # 8 <= 4w + 4: too small for a window-exact binormal check
+    # 8 <= 4w, the binormal product's margin: its exact window is empty
     code = cli.main(["check", "--input", _write_input(tmp_path), "--property", "binormal",
                      "--order", "8"])
     assert code == cli.EXIT_WINDOW
+
+
+def test_check_normal_just_above_its_margin(tmp_path):
+    # 5 > 2w, the normal product's margin: one exact block in the window
+    out = tmp_path / "check.json"
+    code = cli.main(["check", "--input", _write_input(tmp_path), "--property", "normal",
+                     "--order", "5", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["reports"][0]["window_limit"] == 2
+
+
+def test_suite_writes_its_report(tmp_path):
+    out = tmp_path / "suite.json"
+    assert cli.main(["suite", "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads(out.read_text(encoding="utf-8"))["passed"] is True

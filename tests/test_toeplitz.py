@@ -11,7 +11,6 @@ from toeplab.toeplitz import (
     commutator_matrix,
     commutator_report,
     conjugation_identity_check,
-    gu_lee_F,
     shift,
     truncate,
 )
@@ -131,10 +130,49 @@ def test_quasinormal_report_for_shift():
 
 
 def test_commutator_rejects_small_orders_and_bad_property():
+    # the binormal product's own margin 4w is the only order guard
     with pytest.raises(WindowError):
-        commutator_report(Z, "binormal", 8, 1e-8)  # 8 == 4w + 4
+        commutator_report(Z, "binormal", 4, 1e-8)  # 4 == 4w: empty window
+    rep = commutator_report(Z, "binormal", 5, 1e-8)
+    assert rep.window_limit == 1
+    assert rep.window_norm == 0.0
     with pytest.raises(ValueError):
         commutator_report(Z, "hyponormal", 32, 1e-8)
+
+
+def test_normal_check_reads_its_window_just_above_2w():
+    # [T*, T] for the shift is e0 e0* on the window; 8 > 2w leaves 6 entries
+    rep = commutator_report(Z, "normal", 8, 1e-8)
+    assert rep.verdict == VERDICT_VIOLATED
+    assert rep.window_limit == 6
+    assert rep.window_norm == 1.0
+
+
+MARGINS = {
+    "normal": lambda w: 2 * w,
+    "quasinormal": lambda w: 3 * w,
+    "binormal": lambda w: 4 * w,
+    "f-selfadjoint": lambda w: 4 * w + 2,
+}
+
+
+def test_windows_just_above_the_margin_match_a_large_order():
+    rng = np.random.default_rng(29)
+    big = 80
+    for d in (1, 2, 3):
+        for w in (1, 2, 3):
+            phi = rand_scalar(rng, w) if d == 1 else rand_matrix(rng, d, w)
+            bw = phi.bandwidth
+            for prop, margin in MARGINS.items():
+                if prop == "f-selfadjoint" and d > 1:
+                    continue
+                ref = commutator_matrix(phi, prop, big).data
+                for n in range(margin(bw) + 1, 4 * bw + 6):
+                    k = commutator_matrix(phi, prop, n)
+                    assert k.margin == margin(bw)
+                    lim = k.window_limit
+                    assert lim == (n - margin(bw)) * d
+                    assert np.max(np.abs(k.window_view() - ref[:lim, :lim])) <= 1e-12
 
 
 def test_report_window_limit_reflects_margin():
@@ -161,7 +199,7 @@ def test_gu_lee_shift_matches_hand_computation():
     expected[0, 0] = 1.0
     assert np.array_equal(f[:lim, :lim], expected)
 
-    rep = gu_lee_F(Z, 32, 1e-8)
+    rep = commutator_report(Z, "f-selfadjoint", 32, 1e-8)
     assert rep.property == "f-selfadjoint"
     assert rep.verdict == VERDICT_CLEAN
     assert rep.window_norm == 0.0
@@ -170,24 +208,24 @@ def test_gu_lee_shift_matches_hand_computation():
 def test_gu_lee_scaled_monomial_agrees_with_inner_test():
     phi = ScalarSymbol.monomial(2, 3.0)
     assert inner_multiple_test(phi).verdict == "binormal"
-    assert gu_lee_F(phi, 32, 1e-8).verdict == VERDICT_CLEAN
+    assert commutator_report(phi, "f-selfadjoint", 32, 1e-8).verdict == VERDICT_CLEAN
 
 
 def test_gu_lee_one_plus_z_consistent_with_commutator():
-    assert gu_lee_F(ONE + Z, 32, 1e-8).verdict == VERDICT_VIOLATED
+    assert commutator_report(ONE + Z, "f-selfadjoint", 32, 1e-8).verdict == VERDICT_VIOLATED
     assert commutator_report(ONE + Z, "binormal", 32, 1e-8).verdict == VERDICT_VIOLATED
 
 
 def test_gu_lee_requires_scalar_symbol():
     with pytest.raises(TypeError):
-        gu_lee_F(MatrixSymbol.identity(2), 32, 1e-8)
+        commutator_report(MatrixSymbol.identity(2), "f-selfadjoint", 32, 1e-8)
 
 
 def test_gu_lee_random_corpus_agrees_with_commutator():
     rng = np.random.default_rng(21)
     for _ in range(20):
         phi = rand_scalar(rng)
-        a = gu_lee_F(phi, 48, 1e-8).verdict == VERDICT_CLEAN
+        a = commutator_report(phi, "f-selfadjoint", 48, 1e-8).verdict == VERDICT_CLEAN
         b = commutator_report(phi, "binormal", 48, 1e-8).verdict == VERDICT_CLEAN
         assert a == b
 
