@@ -5,8 +5,12 @@ One subcommand per claim family.  Reports are JSON on stdout or at ``--out``;
 Verdicts are data, not failures: exit status is 0 for a completed run,
 1 for acceptance-suite failures, 2 for unusable input, 3 for a truncation
 order that leaves the requested product no exact window (``check`` only: the
-order is at most the product's margin, see ``toeplitz.commutator_matrix``;
-``reduce`` and ``probe-t41`` read whole sections and accept any order >= 1).
+order is at most the product's margin, see ``toeplitz.commutator_matrix``).
+``probe-t41`` reads whole sections and ``reduce`` reads the symbol's
+coefficients with each lag weighted by its count in the section (see
+``reducing.verify_reducing``); both accept any order >= 1.  ``suite``
+compares criterion 9's gap data with the checkout's
+``reference/theorem41_gaps.json``; without that file criterion 9 fails.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_WINDOW = 3
+
+# criterion 9's committed gap data, at the root of the checkout that holds src/toeplab
+REFERENCE_PATH = Path(__file__).resolve().parents[2] / "reference" / "theorem41_gaps.json"
 
 
 @dataclass
@@ -211,7 +218,7 @@ def cmd_reduce(job: JobSpec) -> int:
 
 
 def cmd_suite(job: JobSpec) -> int:
-    result = run_suite(seed=job.seed)
+    result = run_suite(seed=job.seed, reference_path=str(REFERENCE_PATH))
     for r in result.results:
         sys.stdout.write(r.line() + "\n")
     sys.stdout.write(

@@ -32,14 +32,25 @@ class SymbolFormatError(ValueError):
     """Input file or object does not match the symbol schema."""
 
 
+def _is_count(value: Any) -> bool:
+    """A positive JSON integer; ``true`` is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _as_complex(value: Any, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise SymbolFormatError(f"{where}: expected an [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        real, imag = float(value[0]), float(value[1])
+    except OverflowError:
+        raise SymbolFormatError(f"{where}: {value!r} is out of float range") from None
+    if not (math.isfinite(real) and math.isfinite(imag)):
+        raise SymbolFormatError(f"{where}: expected finite numbers, got {value!r}")
+    return complex(real, imag)
 
 
 def _as_index(key: Any, where: str) -> int:
@@ -53,7 +64,7 @@ def parse_matrix(obj: Any) -> MatrixSymbol:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise SymbolFormatError("symbol object must be a dict with a 'dim' field")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_count(dim):
         raise SymbolFormatError(f"'dim' must be a positive integer, got {dim!r}")
     coeffs_obj = obj.get("coeffs", {})
     if not isinstance(coeffs_obj, dict):
@@ -84,7 +95,7 @@ def parse_circulant(obj: Any) -> CirculantSymbol:
     if not isinstance(obj, dict) or "circulant" not in obj:
         raise SymbolFormatError("circulant object must be a dict with a 'circulant' field")
     n = obj["circulant"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_count(n):
         raise SymbolFormatError(f"'circulant' must be a positive integer size, got {n!r}")
     row_obj = obj.get("row")
     if not isinstance(row_obj, list) or len(row_obj) != n:

@@ -173,3 +173,101 @@ def test_unitary_transport_of_reducing_projectors():
         t2 = v @ t @ v.conj().T
         assert np.linalg.norm(q2 @ t2 - t2 @ q2) <= 1e-10
         assert np.linalg.norm(q2 @ t2.conj().T - t2.conj().T @ q2) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the coefficient route against the dense section
+
+
+def dense_reducing(q, phi, order, tolerance):
+    """Dense oracle: (rank, trivial, verdict, commutator_T, commutator_Tstar,
+    offdiagonal_norm) read from the (N d) x (N d) section and dense Q."""
+    t = truncate(phi, order).data
+    qm = q.matrix
+    qt, tq = qm @ t, t @ qm
+    comm_t = float(np.linalg.norm(qt - tq))
+    comm_ts = float(np.linalg.norm(qm @ t.conj().T - t.conj().T @ qm))
+    qtq = qt @ qm
+    off = max(float(np.linalg.norm(qt - qtq)), float(np.linalg.norm(tq - qtq)))
+    r = int(round(float(np.trace(qm).real)))
+    verdict = "reducing" if comm_t <= tolerance and comm_ts <= tolerance else "not_reducing"
+    return r, r in (0, q.ambient_dim), verdict, comm_t, comm_ts, off
+
+
+def random_block_projector(rng, d, rank, order):
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    p = basis[:, :rank] @ basis[:, :rank].conj().T
+    return OrthogonalProjector(np.kron(np.eye(order), p), ambient_dim=order * d, rank=order * rank)
+
+
+def random_matrix_symbol(rng, d, w=3):
+    """Lag 0 and two more lags in [-w, w], so order 1 keeps one coefficient."""
+    lags = [0, *rng.choice([n for n in range(-w, w + 1) if n], size=2, replace=False)]
+    return MatrixSymbol(
+        d, {int(n): rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for n in lags}
+    )
+
+
+def commuting_symbol(rng, p, w=3):
+    """A symbol whose every coefficient is P A P + (I - P) B (I - P)."""
+    d = p.shape[0]
+    comp = np.eye(d) - p
+    coeffs = {}
+    for n in range(-w, w + 1):
+        a, b = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+        coeffs[n] = p @ a @ p + comp @ b @ comp
+    return MatrixSymbol(d, coeffs)
+
+
+def assert_matches_dense(q, phi, order, tolerance=1e-10):
+    rep = verify_reducing(q, phi, order, tolerance)
+    r, trivial, verdict, *norms = dense_reducing(q, phi, order, tolerance)
+    assert (rep.rank, rep.trivial, rep.verdict) == (r, trivial, verdict)
+    for got, want in zip((rep.commutator_T, rep.commutator_Tstar, rep.offdiagonal_norm), norms):
+        if want < 1e-8:
+            assert abs(got - want) <= 1e-13
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+    return rep
+
+
+@pytest.mark.parametrize("order", range(1, 41))
+def test_coefficient_route_matches_dense_section(order):
+    rng = np.random.default_rng(600 + order)
+    d = (1, 2, 3, 4, 8)[order % 5]
+    # each d takes every rank from 0 to d over its eight orders
+    rank = (7 * (order // 5)) % (d + 1)
+    q = random_block_projector(rng, d, rank, order)
+    p = q.matrix[:d, :d]
+    assert_matches_dense(q, random_matrix_symbol(rng, d), order)
+    rep = assert_matches_dense(q, commuting_symbol(rng, p), order)
+    assert rep.verdict == "reducing"
+    if rank not in (0, d):
+        rep = assert_matches_dense(q, random_matrix_symbol(rng, d), order)
+        assert rep.verdict == "not_reducing"
+    if d == 1:
+        assert_matches_dense(q, rand_scalar(rng), order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 33])
+def test_fourier_projectors_match_dense_section(order):
+    rng = np.random.default_rng(700 + order)
+    for n in (2, 3, 4, 8):
+        c = rand_circulant(rng, n)
+        sym = c.as_matrix_symbol()
+        for q in reducing_projectors(c, order):
+            assert assert_matches_dense(q, sym, order).verdict == "reducing"
+        # the same projectors against a symbol that is not circulant
+        for q in reducing_projectors(c, order):
+            assert_matches_dense(q, random_matrix_symbol(rng, n), order)
+
+
+def test_verify_rejects_a_projector_that_is_not_block_constant():
+    order, d = 6, 3
+    head = np.zeros((order, order))
+    head[0, 0] = 1.0
+    q = OrthogonalProjector(np.kron(head, np.eye(d)).astype(complex), ambient_dim=order * d, rank=d)
+    assert q.is_valid()
+    phi = MatrixSymbol.identity(d)
+    with pytest.raises(ValueError, match="block-constant"):
+        verify_reducing(q, phi, order, 1e-10)
