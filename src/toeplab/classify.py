@@ -7,6 +7,9 @@ relation, or the unimodular factor linking positive and negative
 coefficients.  The window-based reports in ``toeplab.toeplitz`` provide the
 independent numeric counterpart; tests and the acceptance suite require the
 two routes to agree.
+
+The 2x2-block checks read every entry operator, product block and residual
+from one section of the block symbol with ``ToeplitzTruncation.entry``.
 """
 
 from __future__ import annotations
@@ -201,10 +204,17 @@ def commuting_normal_family(
     return out
 
 
-def _check_commuting_normal(
-    phis: Sequence[ScalarSymbol], order: int, tolerance: float
-) -> None:
-    ts = [truncate(p, order) for p in phis]
+def _block_section(
+    phis: Sequence[ScalarSymbol], order: int
+) -> tuple[MatrixSymbol, ToeplitzTruncation, list[ToeplitzTruncation]]:
+    """The 2x2 block symbol, its section and the section's four entries,
+    in the order of ``phis``: (0, 0), (0, 1), (1, 0), (1, 1)."""
+    block = MatrixSymbol.from_entries([[phis[0], phis[1]], [phis[2], phis[3]]])
+    t = truncate(block, order)
+    return block, t, [t.entry(a, b) for a in (0, 1) for b in (0, 1)]
+
+
+def _check_commuting_normal(ts: Sequence[ToeplitzTruncation], tolerance: float) -> None:
     for i, t in enumerate(ts):
         resid = (t.adjoint() @ t - t @ t.adjoint()).window_max_abs()
         if resid > tolerance:
@@ -227,9 +237,11 @@ class ConditionSystemReport:
 
     ``system_a`` holds the residuals of the reduced system valid under the
     commuting-normal hypothesis (symmetrized cross terms plus the off-diagonal
-    balance); ``system_b`` holds the unreduced three-line system.  The third
-    lines are the same expression and share one residual.  ``normality`` holds
-    the residuals of the block-normality conditions.
+    balance); ``system_b`` holds the unreduced three-line system, which is
+    the (0, 0), (1, 1) and (0, 1) entries of the block commutator
+    [T* T, T T*].  The third lines are the same expression and share one
+    residual.  ``normality`` holds the residuals of the block-normality
+    conditions.
     """
 
     order: int
@@ -277,20 +289,6 @@ class ConditionSystemReport:
         }
 
 
-def _six_operators(
-    phis: Sequence[ScalarSymbol], order: int
-) -> tuple[ToeplitzTruncation, ...]:
-    t = [truncate(p, order) for p in phis]
-    ts = [x.adjoint() for x in t]
-    t1 = ts[0] @ t[0] + ts[2] @ t[2]
-    t2 = ts[0] @ t[1] + ts[2] @ t[3]
-    t3 = ts[1] @ t[1] + ts[3] @ t[3]
-    s1 = t[0] @ ts[0] + t[1] @ ts[1]
-    s2 = t[0] @ ts[2] + t[1] @ ts[3]
-    s3 = t[2] @ ts[2] + t[3] @ ts[3]
-    return t1, t2, t3, s1, s2, s3
-
-
 def block2_condition_system(
     phis: Sequence[ScalarSymbol],
     order: int = DEFAULT_ORDER,
@@ -300,39 +298,38 @@ def block2_condition_system(
 
     The entries (phi_1, phi_2, phi_3, phi_4) must generate mutually commuting
     normal Toeplitz operators (as produced by ``commuting_normal_family``);
-    this is checked on the window and violations raise.  The six quadratic
-    operators are the blocks of T* T and T T*, and the residuals certify each
-    line of the two equivalent systems against the direct block verdicts.
+    this is checked on the window and violations raise.  Everything is read
+    from one section T of the block: the six quadratic operators are entries
+    of T* T and T T*, and system B (with the third line it shares with
+    system A) is the (0, 0), (1, 1) and (0, 1) entries of [T* T, T T*].
     """
     phis = list(phis)
     if len(phis) != 4:
         raise ValueError("expected four scalar symbols (phi_1 .. phi_4)")
-    _check_commuting_normal(phis, order, tolerance)
+    block, t, entries = _block_section(phis, order)
+    _check_commuting_normal(entries, tolerance)
 
-    t1, t2, t3, s1, s2, s3 = _six_operators(phis, order)
+    ts = t.adjoint()
+    tst, tts = ts @ t, t @ ts
+    k = tst @ tts - tts @ tst
+    t2, s2 = tst.entry(0, 1), tts.entry(0, 1)
 
     x = s2 @ t2.adjoint()
     a1 = (x - x.adjoint()).window_max_abs()
     y = s2.adjoint() @ t2
     a2 = (y - y.adjoint()).window_max_abs()
-    # third line is shared verbatim between the two systems
-    offdiag = (t1 @ s2 + t2 @ s3 - s1 @ t2 - s2 @ t3).window_max_abs()
+    offdiag = k.entry(0, 1).window_max_abs()
 
-    b1 = (t1 @ s1 + t2 @ s2.adjoint() - s1 @ t1 - s2 @ t2.adjoint()).window_max_abs()
-    b2 = (t3 @ s3 + t2.adjoint() @ s2 - s3 @ t3 - s2.adjoint() @ t2).window_max_abs()
-
-    t = [truncate(p, order) for p in phis]
-    ts = [v.adjoint() for v in t]
-    n1 = (ts[2] @ t[2] - t[1] @ ts[1]).window_max_abs()
-    n2 = (ts[1] @ t[1] - t[2] @ ts[2]).window_max_abs()
+    _, b, c, _ = entries
+    n1 = (c.adjoint() @ c - b @ b.adjoint()).window_max_abs()
+    n2 = (b.adjoint() @ b - c @ c.adjoint()).window_max_abs()
     n3 = (t2 - s2).window_max_abs()
 
-    block = MatrixSymbol.from_entries([[phis[0], phis[1]], [phis[2], phis[3]]])
     return ConditionSystemReport(
         order=order,
         tolerance=tolerance,
         system_a=(a1, a2, offdiag),
-        system_b=(b1, b2, offdiag),
+        system_b=(k.entry(0, 0).window_max_abs(), k.entry(1, 1).window_max_abs(), offdiag),
         normality=(n1, n2, n3),
         binormal_report=commutator_report(block, "binormal", order, tolerance),
         normal_report=commutator_report(block, "normal", order, tolerance),
@@ -356,7 +353,8 @@ def special_case_checks(
 
     Always takes the four entry symbols (phi_1, phi_2, phi_3, phi_4) and
     validates the shape the case demands before evaluating its displayed
-    identity on exact windows alongside the direct verdicts.
+    identity on exact windows alongside the direct verdicts.  Every case but
+    ex54a reads its entries and products from one section of the block.
     """
     phis = list(phis)
     if len(phis) != 4:
@@ -364,102 +362,74 @@ def special_case_checks(
     if case not in SPECIAL_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {SPECIAL_CASES}")
     p1, p2, p3, p4 = phis
-    block = MatrixSymbol.from_entries([[p1, p2], [p3, p4]])
-
-    if case == "cor52i":
-        if not (_is_constant_one(p1) and _is_constant_one(p4)):
-            raise ValueError("cor52i requires phi_1 = phi_4 = 1")
-        _check_commuting_normal(phis, order, tolerance)
-        t2 = truncate(p2, order)
-        t3 = truncate(p3, order)
-        d = t3.adjoint() @ t3 - t2.adjoint() @ t2
-        e = t2 + t3.adjoint()
-        residual = (d @ e + e @ d).window_max_abs()
-        rep = commutator_report(block, "binormal", order, tolerance)
-        return {
-            "case": case,
-            "order": order,
-            "tolerance": tolerance,
-            "identity_residual": residual,
-            "identity_holds": residual <= tolerance,
-            "binormal_report": rep.to_json(),
-            "consistent": (residual <= tolerance) == (rep.verdict == VERDICT_CLEAN),
-        }
-
-    if case == "cor52ii":
-        if not (_is_constant_one(p2) and _is_constant_one(p3)):
-            raise ValueError("cor52ii requires phi_2 = phi_3 = 1")
-        _check_commuting_normal(phis, order, tolerance)
-        t1, t2, t3, s1, s2, s3 = _six_operators(phis, order)
-        skew = t2.adjoint() - t2
-        r1 = (t1 @ skew - skew @ t3).window_max_abs()
-        sq = s2 @ s2
-        r2 = (sq - sq.adjoint()).window_max_abs()
-        rep = commutator_report(block, "binormal", order, tolerance)
-        holds = r1 <= tolerance and r2 <= tolerance
-        return {
-            "case": case,
-            "order": order,
-            "tolerance": tolerance,
-            "skew_balance_residual": r1,
-            "square_selfadjoint_residual": r2,
-            "identity_holds": holds,
-            "binormal_report": rep.to_json(),
-            "consistent": holds == (rep.verdict == VERDICT_CLEAN),
-        }
-
-    if case == "cor53ii":
-        if not (_is_constant_one(p2) and _is_constant_one(p3)):
-            raise ValueError("cor53ii requires phi_2 = phi_3 = 1")
-        _check_commuting_normal(phis, order, tolerance)
-        psi = p1 + p4.conj_reflect()
-        real_resid = psi.conj_reflect().max_coeff_diff(psi)
-        is_real = real_resid <= _zero_tol(psi)
-        rep = commutator_report(block, "normal", order, tolerance)
-        return {
-            "case": case,
-            "order": order,
-            "tolerance": tolerance,
-            "real_valued_residual": real_resid,
-            "real_valued": is_real,
-            "normal_report": rep.to_json(),
-            "consistent": is_real == (rep.verdict == VERDICT_CLEAN),
-        }
-
+    if case == "cor52i" and not (_is_constant_one(p1) and _is_constant_one(p4)):
+        raise ValueError("cor52i requires phi_1 = phi_4 = 1")
+    if case in ("cor52ii", "cor53ii") and not (_is_constant_one(p2) and _is_constant_one(p3)):
+        raise ValueError(f"{case} requires phi_2 = phi_3 = 1")
     if case == "ex54a":
         for name, p in (("phi_1", p1), ("phi_2", p2), ("phi_4", p4)):
             if not p.is_zero():
                 raise ValueError(f"ex54a requires {name} = 0")
-        breps = commutator_report(block, "binormal", order, tolerance)
-        nreps = commutator_report(block, "normal", order, tolerance)
-        return {
-            "case": case,
-            "order": order,
-            "tolerance": tolerance,
-            "binormal_report": breps.to_json(),
-            "normal_report": nreps.to_json(),
-        }
+    if case == "ex54b":
+        if not (p1.is_zero() and p4.is_zero()):
+            raise ValueError("ex54b requires phi_1 = phi_4 = 0")
+        if not _is_constant_one(p2):
+            raise ValueError("ex54b requires phi_2 = 1")
 
-    # ex54b
-    if not (p1.is_zero() and p4.is_zero()):
-        raise ValueError("ex54b requires phi_1 = phi_4 = 0")
-    if not _is_constant_one(p2):
-        raise ValueError("ex54b requires phi_2 = 1")
-    t = truncate(p3, order)
-    ident = truncate(ScalarSymbol.constant(1.0), order)
-    unitary_resid = max(
-        (t.adjoint() @ t - ident).window_max_abs(),
-        (t @ t.adjoint() - ident).window_max_abs(),
-    )
-    breps = commutator_report(block, "binormal", order, tolerance)
-    nreps = commutator_report(block, "normal", order, tolerance)
-    return {
-        "case": case,
-        "order": order,
-        "tolerance": tolerance,
-        "unitary_window_residual": unitary_resid,
-        "unitary_like": unitary_resid <= tolerance,
-        "binormal_report": breps.to_json(),
-        "normal_report": nreps.to_json(),
-        "consistent": (unitary_resid <= tolerance) == (nreps.verdict == VERDICT_CLEAN),
-    }
+    out: dict = {"case": case, "order": order, "tolerance": tolerance}
+    if case == "ex54a":
+        block = MatrixSymbol.from_entries([[p1, p2], [p3, p4]])
+        out["binormal_report"] = commutator_report(block, "binormal", order, tolerance).to_json()
+        out["normal_report"] = commutator_report(block, "normal", order, tolerance).to_json()
+        return out
+
+    block, t, entries = _block_section(phis, order)
+    _, b, c, _ = entries
+    if case == "ex54b":
+        ident = truncate(ScalarSymbol.constant(1.0), order)
+        unitary_resid = max(
+            (c.adjoint() @ c - ident).window_max_abs(),
+            (c @ c.adjoint() - ident).window_max_abs(),
+        )
+        nrep = commutator_report(block, "normal", order, tolerance)
+        out["unitary_window_residual"] = unitary_resid
+        out["unitary_like"] = unitary_resid <= tolerance
+        out["binormal_report"] = commutator_report(block, "binormal", order, tolerance).to_json()
+        out["normal_report"] = nrep.to_json()
+        out["consistent"] = (unitary_resid <= tolerance) == (nrep.verdict == VERDICT_CLEAN)
+        return out
+
+    _check_commuting_normal(entries, tolerance)
+    if case == "cor53ii":
+        psi = p1 + p4.conj_reflect()
+        real_resid = psi.conj_reflect().max_coeff_diff(psi)
+        is_real = real_resid <= _zero_tol(psi)
+        rep = commutator_report(block, "normal", order, tolerance)
+        out["real_valued_residual"] = real_resid
+        out["real_valued"] = is_real
+        out["normal_report"] = rep.to_json()
+        out["consistent"] = is_real == (rep.verdict == VERDICT_CLEAN)
+        return out
+
+    if case == "cor52i":
+        d = c.adjoint() @ c - b.adjoint() @ b
+        e = b + c.adjoint()
+        residual = (d @ e + e @ d).window_max_abs()
+        out["identity_residual"] = residual
+        holds = residual <= tolerance
+    else:  # cor52ii
+        ts = t.adjoint()
+        tst, tts = ts @ t, t @ ts
+        t1, t2, t3, s2 = tst.entry(0, 0), tst.entry(0, 1), tst.entry(1, 1), tts.entry(0, 1)
+        skew = t2.adjoint() - t2
+        r1 = (t1 @ skew - skew @ t3).window_max_abs()
+        sq = s2 @ s2
+        r2 = (sq - sq.adjoint()).window_max_abs()
+        out["skew_balance_residual"] = r1
+        out["square_selfadjoint_residual"] = r2
+        holds = r1 <= tolerance and r2 <= tolerance
+    rep = commutator_report(block, "binormal", order, tolerance)
+    out["identity_holds"] = holds
+    out["binormal_report"] = rep.to_json()
+    out["consistent"] = holds == (rep.verdict == VERDICT_CLEAN)
+    return out

@@ -8,7 +8,8 @@ order that leaves the requested product no exact window (``check`` only: the
 order is at most the product's margin, see ``toeplitz.commutator_matrix``).
 ``probe-t41`` reads whole sections and ``reduce`` reads the symbol's
 coefficients with each lag weighted by its count in the section (see
-``reducing.verify_reducing``); both accept any order >= 1.  ``suite``
+``reducing.verify_reducing``); both take exactly one order >= 1, and a
+list of orders, which only ``check`` takes, exits 2.  ``suite``
 compares criterion 9's gap data with the checkout's
 ``reference/theorem41_gaps.json``; without that file criterion 9 fails.
 """
@@ -72,6 +73,13 @@ def _parse_orders(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"invalid order list {text!r}") from None
     if not orders or any(n < 1 for n in orders):
         raise argparse.ArgumentTypeError(f"orders must be positive integers, got {text!r}")
+    return orders
+
+
+def _parse_order(text: str) -> list[int]:
+    orders = _parse_orders(text)
+    if len(orders) != 1:
+        raise argparse.ArgumentTypeError(f"expected one truncation order, got {text!r}")
     return orders
 
 
@@ -275,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe-t41", help="evidence on the dilation block equivalence claim")
     common(p)
-    p.add_argument("--order", type=_parse_orders, default=None,
+    p.add_argument("--order", type=_parse_order, default=None,
                    help=f"truncation order (default {DEFAULT_ORDER})")
 
     p = sub.add_parser("reduce", help="build and verify reducing projectors for a circulant")
     common(p)
-    p.add_argument("--order", type=_parse_orders, default=None,
+    p.add_argument("--order", type=_parse_order, default=None,
                    help=f"truncation order (default {DEFAULT_ORDER})")
 
     p = sub.add_parser("suite", help="run the full acceptance corpus")

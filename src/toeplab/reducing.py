@@ -20,6 +20,7 @@ import numpy as np
 
 from .circulant import CirculantSymbol, dft_unitary
 from .symbols import MatrixSymbol, ScalarSymbol
+from .toeplitz import _weighted_norm
 
 # Not used in this module; the binding stays because perfbench/test_tracing.py
 # asserts that the benchmark's tracer wraps toeplab.reducing.truncate.
@@ -122,12 +123,6 @@ class ReducingReport:
             "trivial": self.trivial,
             "tolerance": self.tolerance,
         }
-
-
-def _weighted_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
-    """sqrt(sum_n w_n ||blocks[n]||_F^2): the Frobenius norm of the section
-    whose lag-n blocks all equal blocks[n] and occur w_n times."""
-    return float(np.sqrt(np.sum(weights * np.sum(np.abs(blocks) ** 2, axis=(1, 2)))))
 
 
 def verify_reducing(

@@ -2,13 +2,15 @@
 
 A symbol is a finitely supported Laurent polynomial on the unit circle.
 ``ScalarSymbol`` holds complex coefficients, ``MatrixSymbol`` holds square
-complex matrix coefficients.  Both are immutable value objects; all
+complex matrix coefficients, and both constructors reject a NaN or infinite
+coefficient with ``ValueError``.  They are immutable value objects; all
 arithmetic returns new instances, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import inf
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +39,10 @@ class ScalarSymbol:
         if coeffs:
             for n, c in coeffs.items():
                 c = complex(c)
-                if abs(c) >= COEFF_PRUNE_TOL:
+                m = abs(c)
+                if not m < inf:
+                    raise ValueError(f"coefficient at index {n} is not finite: {c!r}")
+                if m >= COEFF_PRUNE_TOL:
                     pruned[int(n)] = c
         self._coeffs = pruned
 
@@ -168,8 +173,12 @@ class MatrixSymbol:
                     raise ValueError(
                         f"coefficient at index {n} has shape {arr.shape}, expected {(dim, dim)}"
                     )
-                arr[np.abs(arr) < COEFF_PRUNE_TOL] = 0
-                if np.any(arr != 0):
+                mags = np.abs(arr)
+                top = mags.max()
+                if not top < inf:
+                    raise ValueError(f"coefficient at index {n} has a non-finite entry")
+                if top >= COEFF_PRUNE_TOL:
+                    arr[mags < COEFF_PRUNE_TOL] = 0
                     arr.setflags(write=False)
                     pruned[int(n)] = arr
         self._coeffs = pruned

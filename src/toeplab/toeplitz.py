@@ -13,7 +13,8 @@ products on a leading window:
 
 Each ``ToeplitzTruncation`` carries that accumulated bandwidth as ``margin``:
 fresh sections start at the symbol bandwidth, products add margins, sums and
-differences take the maximum, adjoints and scalar multiples keep it.  Reports
+differences take the maximum, adjoints, scalar multiples and the scalar
+entries of a block section (``entry``) keep it.  Reports
 read entries only from the exact window, so a nonzero entry there disproves
 an operator identity, while a clean window is reported as
 "no violation up to the window", never as a proof.
@@ -78,6 +79,12 @@ class ToeplitzTruncation:
                 f"empty exact window: order {self.order} <= accumulated margin {self.margin}"
             )
         return float(np.max(np.abs(view)))
+
+    def entry(self, a: int, b: int) -> "ToeplitzTruncation":
+        """Entry (a, b) of every block, as a scalar section with the block's
+        margin, which bounds the entry's own, so its window stays exact."""
+        d = self.block_dim
+        return ToeplitzTruncation(self.order, 1, self.margin, self.data[a::d, b::d])
 
     def _combine_dims(self, other: "ToeplitzTruncation") -> None:
         if self.order != other.order or self.block_dim != other.block_dim:
@@ -237,21 +244,31 @@ def commutator_report(
     )
 
 
+def _weighted_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
+    """sqrt(sum_n w_n ||blocks[n]||_F^2): the Frobenius norm of the section
+    whose lag-n blocks all equal blocks[n] and occur w_n times."""
+    return float(np.sqrt(np.sum(weights * np.sum(np.abs(blocks) ** 2, axis=(1, 2)))))
+
+
 def conjugation_identity_check(phi: MatrixSymbol, order: int) -> float:
     """||V* T_Phi V - T_Lambda||_F for circulant-patterned Phi, V = I_N (x) U.
 
-    The conjugating unitary is block-constant, so it commutes with the
-    finite-section cutoff and the identity holds on the whole matrix, not
-    just a window; the residual is pure floating-point noise.
+    V is block-constant, so V* T_Phi V is the section of U* Phi U and the
+    residual is sqrt(sum_n w_n ||U* Phi_n U - Lambda_n||_F^2), lag n occurring
+    w_n = max(N - |n|, 0) times; no section is built.  The identity holds on
+    the whole section, so the residual is pure floating-point noise.
     """
     circ = circulant_from_matrix_symbol(phi)
-    lam = circulant_eigen_symbols(circ)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    lam = circulant_eigen_symbols(circ).as_matrix_symbol()
     u = dft_unitary(circ.n).matrix
-    t_phi = truncate(phi, order)
-    t_lam = truncate(lam.as_matrix_symbol(), order)
-    v = np.kron(np.eye(order), u)
-    resid = v.conj().T @ t_phi.data @ v - t_lam.data
-    return float(np.linalg.norm(resid))
+    lags = [n for n in sorted(set(phi.support) | set(lam.support)) if abs(n) < order]
+    blocks = np.array(
+        [u.conj().T @ phi.coeff(n) @ u - lam.coeff(n) for n in lags], dtype=complex
+    ).reshape(-1, circ.n, circ.n)
+    weights = np.array([order - abs(n) for n in lags], dtype=float)
+    return _weighted_norm(blocks, weights)
 
 
 def convergence_rows(

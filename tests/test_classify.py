@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from toeplab import classify
 from toeplab.circulant import CirculantSymbol
 from toeplab.classify import (
     autocorrelation,
@@ -13,7 +14,7 @@ from toeplab.classify import (
     scalar_binormal_classify,
     special_case_checks,
 )
-from toeplab.symbols import ScalarSymbol
+from toeplab.symbols import MatrixSymbol, ScalarSymbol
 from toeplab.toeplitz import VERDICT_CLEAN, VERDICT_VIOLATED, commutator_report, truncate
 
 Z = ScalarSymbol.monomial(1)
@@ -249,6 +250,96 @@ def test_condition_system_matches_direct_verdicts():
     assert saw_violated  # generic families are not binormal
 
 
+def _entry_level_residuals(phis, order):
+    """System A, system B and the normality lines written out entry by entry.
+
+    Each entry gets its own section; the six quadratic operators are the
+    blocks of T* T and T T* expanded by hand, and system B is expanded term
+    by term.  This is the independent oracle for the block-section route.
+    """
+    t = [truncate(p, order) for p in phis]
+    ts = [x.adjoint() for x in t]
+    t1 = ts[0] @ t[0] + ts[2] @ t[2]
+    t2 = ts[0] @ t[1] + ts[2] @ t[3]
+    t3 = ts[1] @ t[1] + ts[3] @ t[3]
+    s1 = t[0] @ ts[0] + t[1] @ ts[1]
+    s2 = t[0] @ ts[2] + t[1] @ ts[3]
+    s3 = t[2] @ ts[2] + t[3] @ ts[3]
+    x = s2 @ t2.adjoint()
+    y = s2.adjoint() @ t2
+    offdiag = (t1 @ s2 + t2 @ s3 - s1 @ t2 - s2 @ t3).window_max_abs()
+    system_a = ((x - x.adjoint()).window_max_abs(), (y - y.adjoint()).window_max_abs(), offdiag)
+    b1 = (t1 @ s1 + t2 @ s2.adjoint() - s1 @ t1 - s2 @ t2.adjoint()).window_max_abs()
+    b2 = (t3 @ s3 + t2.adjoint() @ s2 - s3 @ t3 - s2.adjoint() @ t2).window_max_abs()
+    normality = (
+        (ts[2] @ t[2] - t[1] @ ts[1]).window_max_abs(),
+        (ts[1] @ t[1] - t[2] @ ts[2]).window_max_abs(),
+        (t2 - s2).window_max_abs(),
+    )
+    return system_a, (b1, b2, offdiag), normality
+
+
+def _oracle_families(rng):
+    """Commuting normal families with zero, constant and mixed-bandwidth entries."""
+    def coeff():
+        return complex(*rng.standard_normal(2)) / 2
+
+    out = []
+    for w in (0, 1, 2, 3):
+        f = ScalarSymbol({n: coeff() for n in range(1, w + 1)})
+        f = f + f.conj_reflect() + ScalarSymbol.constant(rng.standard_normal() / 2)
+        for _ in range(6):
+            pairs = [(coeff(), coeff()) for _ in range(4)]
+            for k in rng.choice(4, size=rng.integers(0, 3), replace=False):
+                # alpha = 0 gives a constant entry, alpha = beta = 0 a zero one
+                pairs[k] = (0.0, 0.0 if rng.random() < 0.5 else coeff())
+            out.append(commuting_normal_family(f, pairs))
+        a, b = commuting_normal_family(f, [(coeff(), coeff()), (coeff(), coeff())])
+        out += [[ZERO, a, b, ZERO], [a, ZERO, ZERO, b]]  # binormal corner shapes
+    return out
+
+
+def test_condition_system_matches_the_entry_level_oracle():
+    rng = np.random.default_rng(39)
+    flags = ("system_a_holds", "system_b_holds", "normality_holds",
+             "binormal_consistent", "normal_consistent")
+    families = _oracle_families(rng)
+    held = 0
+    for phis in families:
+        rep = block2_condition_system(phis, 40, 1e-8)
+        system_a, system_b, normality = _entry_level_residuals(phis, 40)
+        expected = {
+            "system_a_holds": all(r <= 1e-8 for r in system_a),
+            "system_b_holds": all(r <= 1e-8 for r in system_b),
+            "normality_holds": all(r <= 1e-8 for r in normality),
+        }
+        expected["binormal_consistent"] = expected["system_a_holds"] == (
+            rep.binormal_report.verdict == VERDICT_CLEAN)
+        expected["normal_consistent"] = expected["normality_holds"] == (
+            rep.normal_report.verdict == VERDICT_CLEAN)
+        for got, want in ((rep.system_a, system_a), (rep.system_b, system_b),
+                          (rep.normality, normality)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
+        assert {f: getattr(rep, f) for f in flags} == expected
+        held += rep.system_a_holds
+    assert 0 < held < len(families)
+
+
+def test_condition_system_truncates_the_block_once(monkeypatch):
+    calls = []
+    real = classify.truncate
+
+    def counted(symbol, order):
+        calls.append(symbol)
+        return real(symbol, order)
+
+    monkeypatch.setattr(classify, "truncate", counted)
+    rng = np.random.default_rng(40)
+    block2_condition_system(_family(rng), 48, 1e-8)
+    assert len(calls) == 1
+    assert isinstance(calls[0], MatrixSymbol) and calls[0].dim == 2
+
+
 def test_condition_system_rejects_non_normal_entries():
     with pytest.raises(ValueError):
         block2_condition_system([Z, ONE, ONE, Z], 48, 1e-8)
@@ -334,3 +425,26 @@ def test_special_case_identity_diagonal_binormal_instance():
 def test_special_case_rejects_unknown_case():
     with pytest.raises(ValueError):
         special_case_checks([ONE, ONE, ONE, ONE], "cor99", 48, 1e-8)
+
+
+def test_special_case_reports_keep_their_keys_in_order():
+    rng = np.random.default_rng(41)
+    a, b = _family(rng, 2)
+    head = ["case", "order", "tolerance"]
+    cases = {
+        "cor52i": ([ONE, a, b, ONE],
+                   ["identity_residual", "identity_holds", "binormal_report", "consistent"]),
+        "cor52ii": ([a, ONE, ONE, b],
+                    ["skew_balance_residual", "square_selfadjoint_residual", "identity_holds",
+                     "binormal_report", "consistent"]),
+        "cor53ii": ([a, ONE, ONE, a],
+                    ["real_valued_residual", "real_valued", "normal_report", "consistent"]),
+        "ex54a": ([ZERO, ZERO, ONE + Z, ZERO], ["binormal_report", "normal_report"]),
+        "ex54b": ([ZERO, ONE, Z, ZERO],
+                  ["unitary_window_residual", "unitary_like", "binormal_report",
+                   "normal_report", "consistent"]),
+    }
+    for case, (phis, keys) in cases.items():
+        rep = special_case_checks(phis, case, 48, 1e-8)
+        assert list(rep) == head + keys
+        assert (rep["case"], rep["order"], rep["tolerance"]) == (case, 48, 1e-8)

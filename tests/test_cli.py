@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toeplab import cli
 
 # a 2 x 2 circulant with bandwidth w = 2, so order 8 = 4w
@@ -113,3 +115,19 @@ def test_f_selfadjoint_check_rejects_a_matrix_symbol(tmp_path, capsys):
     code = cli.main(["check", "--input", _write_input(tmp_path), "--property", "f-selfadjoint"])
     assert code == cli.EXIT_PARSE
     assert "scalar symbols only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reduce", "probe-t41"])
+def test_single_order_commands_reject_an_order_list(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--input", _write_input(tmp_path), "--order", "8,16"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "expected one truncation order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reduce", "probe-t41"])
+def test_single_order_commands_report_the_order_they_ran(tmp_path, command):
+    code, report = _run(tmp_path, command, "--input", _write_input(tmp_path), "--order", "8")
+    assert code == cli.EXIT_OK
+    assert report["meta"]["orders"] == [8]
+    assert report["order"] == 8

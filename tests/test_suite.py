@@ -2,7 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from toeplab.suite import ALL_CRITERIA, run_suite
+from toeplab.suite import (
+    ALL_CRITERIA,
+    criterion_condition_system,
+    criterion_conjugation_identity,
+    run_suite,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "reference" / "theorem41_gaps.json"
 
@@ -21,3 +26,10 @@ def test_criterion_passes(results, cid):
 def test_dilation_probe_matches_the_reference(results):
     assert results[9].passed
     assert results[9].details["reference_matches"] is True
+
+
+@pytest.mark.parametrize("seed", [1, 41, 501])
+@pytest.mark.parametrize("criterion", [criterion_conjugation_identity, criterion_condition_system])
+def test_section_criteria_pass_at_other_seeds(criterion, seed):
+    result = criterion(seed)
+    assert result.passed, result.details

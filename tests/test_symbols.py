@@ -237,3 +237,23 @@ def test_entry_view_roundtrip():
     for i in range(2):
         for j in range(2):
             assert phi.entry(i, j) == grid[i][j]
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), complex(1.0, float("-inf")), complex(float("nan"), 0.0)]
+)
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(ValueError):
+        ScalarSymbol({0: bad, 1: 1.0})
+    with pytest.raises(ValueError):
+        MatrixSymbol(1, {0: [[bad]]})
+    with pytest.raises(ValueError):
+        MatrixSymbol(2, {1: [[1.0, 0.0], [0.0, bad]]})
+
+
+def test_overflowing_arithmetic_is_rejected():
+    big = ScalarSymbol.constant(1e200)
+    with pytest.raises(ValueError):
+        big * big
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        MatrixSymbol(1, {0: [[1e200]]}) * MatrixSymbol(1, {0: [[1e200]]})

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from toeplab.circulant import CirculantPatternError, CirculantSymbol, circulant_eigen_symbols
+from toeplab.circulant import (
+    CirculantPatternError,
+    CirculantSymbol,
+    circulant_eigen_symbols,
+    circulant_from_matrix_symbol,
+    dft_unitary,
+)
 from toeplab.classify import inner_multiple_test
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
 from toeplab.toeplitz import (
     VERDICT_CLEAN,
     VERDICT_VIOLATED,
     WindowError,
+    _weighted_norm,
     commutator_matrix,
     commutator_report,
     conjugation_identity_check,
@@ -230,8 +237,93 @@ def test_gu_lee_random_corpus_agrees_with_commutator():
         assert a == b
 
 
+def _sparse_grid(rng, dim):
+    """dim x dim entries of bandwidths 0..3, about a third of them zero."""
+    return [
+        [rand_scalar(rng, int(rng.integers(1, 4))) if rng.random() < 0.7 else ScalarSymbol.zero()
+         for _ in range(dim)]
+        for _ in range(dim)
+    ]
+
+
+def test_entry_of_a_block_section_is_the_section_of_the_entry():
+    rng = np.random.default_rng(30)
+    for dim in (2, 3):
+        for order in range(1, 41):
+            grid = _sparse_grid(rng, dim)
+            if order % 5 == 0:
+                grid[0][0] = ScalarSymbol.constant(complex(*rng.standard_normal(2)))
+            phi = MatrixSymbol.from_entries(grid)
+            t = truncate(phi, order)
+            for a in range(dim):
+                for b in range(dim):
+                    e = t.entry(a, b)
+                    assert np.array_equal(e.data, truncate(grid[a][b], order).data)
+                    assert (e.order, e.block_dim, e.margin) == (order, 1, phi.bandwidth)
+                    assert e.margin >= grid[a][b].bandwidth
+
+
+def test_entry_of_a_product_is_the_sum_of_entry_products():
+    rng = np.random.default_rng(31)
+    order = 24
+    for dim in (2, 3):
+        t = truncate(MatrixSymbol.from_entries(_sparse_grid(rng, dim)), order)
+        ts = t.adjoint()
+        prod = ts @ t
+        for a in range(dim):
+            for b in range(dim):
+                e = prod.entry(a, b)
+                terms = [ts.entry(a, k) @ t.entry(k, b) for k in range(dim)]
+                expected = terms[0]
+                for term in terms[1:]:
+                    expected = expected + term
+                assert e.margin == expected.margin == 2 * t.margin
+                assert e.window_limit == expected.window_limit
+                assert np.max(np.abs(e.data - expected.data), initial=0.0) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # conjugation identity
+
+
+def _dense_conjugation_residual(phi, order):
+    """||V* T_Phi V - T_Lambda||_F with V = I_N (x) U, from the dense sections."""
+    circ = circulant_from_matrix_symbol(phi)
+    lam = circulant_eigen_symbols(circ).as_matrix_symbol()
+    v = np.kron(np.eye(order), dft_unitary(circ.n).matrix)
+    resid = v.conj().T @ truncate(phi, order).data @ v - truncate(lam, order).data
+    return float(np.linalg.norm(resid))
+
+
+def test_weighted_norm_is_the_frobenius_norm_of_the_section():
+    rng = np.random.default_rng(32)
+    for order in (1, 2, 3, 4, 7, 16):
+        phi = rand_matrix(rng, 3, w=3)
+        lags = [n for n in phi.support if abs(n) < order]
+        blocks = np.array([phi.coeff(n) for n in lags]).reshape(-1, 3, 3)
+        weights = np.array([order - abs(n) for n in lags], dtype=float)
+        dense = np.linalg.norm(truncate(phi, order).data)
+        assert abs(_weighted_norm(blocks, weights) - dense) <= 1e-12 * max(1.0, dense)
+
+
+def test_conjugation_identity_matches_the_dense_route():
+    rng = np.random.default_rng(33)
+    symbols = [CirculantSymbol([ScalarSymbol.zero(), ScalarSymbol.zero()])]
+    symbols += [CirculantSymbol([rand_scalar(rng, 3) for _ in range(n)])
+                for n in (1, 2, 3, 4, 5) for _ in range(3)]
+    for c in symbols:
+        phi = c.as_matrix_symbol()
+        for order in (1, 2, 3, 4, 9, 32):  # orders at and below the bandwidth too
+            residual = conjugation_identity_check(phi, order)
+            assert residual <= 1e-12
+            assert abs(residual - _dense_conjugation_residual(phi, order)) <= 1e-13
+
+
+def test_conjugation_identity_rejects_order_zero():
+    c = CirculantSymbol([ONE, Z])
+    with pytest.raises(ValueError):
+        conjugation_identity_check(c.as_matrix_symbol(), 0)
+
 
 
 def test_conjugation_identity_random_circulant_pair():
