@@ -8,8 +8,10 @@ coefficients.  The window-based reports in ``toeplab.toeplitz`` provide the
 independent numeric counterpart; tests and the acceptance suite require the
 two routes to agree.
 
-The 2x2-block checks read every entry operator, product block and residual
-from one section of the block symbol with ``ToeplitzTruncation.entry``.
+The 2x2-block checks read every entry operator, product block, residual
+and commutator report from one section of the block symbol: entries with
+``ToeplitzTruncation.entry``, reports with ``ToeplitzTruncation.report`` on
+the products already formed.
 """
 
 from __future__ import annotations
@@ -206,12 +208,11 @@ def commuting_normal_family(
 
 def _block_section(
     phis: Sequence[ScalarSymbol], order: int
-) -> tuple[MatrixSymbol, ToeplitzTruncation, list[ToeplitzTruncation]]:
-    """The 2x2 block symbol, its section and the section's four entries,
-    in the order of ``phis``: (0, 0), (0, 1), (1, 0), (1, 1)."""
-    block = MatrixSymbol.from_entries([[phis[0], phis[1]], [phis[2], phis[3]]])
-    t = truncate(block, order)
-    return block, t, [t.entry(a, b) for a in (0, 1) for b in (0, 1)]
+) -> tuple[ToeplitzTruncation, list[ToeplitzTruncation]]:
+    """The section of the 2x2 block symbol and its four entries, in the
+    order of ``phis``: (0, 0), (0, 1), (1, 0), (1, 1)."""
+    t = truncate(MatrixSymbol.from_entries([[phis[0], phis[1]], [phis[2], phis[3]]]), order)
+    return t, [t.entry(a, b) for a in (0, 1) for b in (0, 1)]
 
 
 def _check_commuting_normal(ts: Sequence[ToeplitzTruncation], tolerance: float) -> None:
@@ -241,7 +242,8 @@ class ConditionSystemReport:
     the (0, 0), (1, 1) and (0, 1) entries of the block commutator
     [T* T, T T*].  The third lines are the same expression and share one
     residual.  ``normality`` holds the residuals of the block-normality
-    conditions.
+    conditions.  ``binormal_report`` and ``normal_report`` are the reports of
+    [T* T, T T*] and T* T - T T* read from the same section.
     """
 
     order: int
@@ -300,13 +302,14 @@ def block2_condition_system(
     normal Toeplitz operators (as produced by ``commuting_normal_family``);
     this is checked on the window and violations raise.  Everything is read
     from one section T of the block: the six quadratic operators are entries
-    of T* T and T T*, and system B (with the third line it shares with
-    system A) is the (0, 0), (1, 1) and (0, 1) entries of [T* T, T T*].
+    of T* T and T T*, system B (with the third line it shares with system A)
+    is the (0, 0), (1, 1) and (0, 1) entries of K = [T* T, T T*], and the
+    binormal and normal reports are those of K and T* T - T T*.
     """
     phis = list(phis)
     if len(phis) != 4:
         raise ValueError("expected four scalar symbols (phi_1 .. phi_4)")
-    block, t, entries = _block_section(phis, order)
+    t, entries = _block_section(phis, order)
     _check_commuting_normal(entries, tolerance)
 
     ts = t.adjoint()
@@ -331,8 +334,8 @@ def block2_condition_system(
         system_a=(a1, a2, offdiag),
         system_b=(k.entry(0, 0).window_max_abs(), k.entry(1, 1).window_max_abs(), offdiag),
         normality=(n1, n2, n3),
-        binormal_report=commutator_report(block, "binormal", order, tolerance),
-        normal_report=commutator_report(block, "normal", order, tolerance),
+        binormal_report=k.report("binormal", tolerance),
+        normal_report=(tst - tts).report("normal", tolerance),
     )
 
 
@@ -354,7 +357,9 @@ def special_case_checks(
     Always takes the four entry symbols (phi_1, phi_2, phi_3, phi_4) and
     validates the shape the case demands before evaluating its displayed
     identity on exact windows alongside the direct verdicts.  Every case but
-    ex54a reads its entries and products from one section of the block.
+    ex54a reads its entries, products and reports from one section T of the
+    block: the binormal report from [T* T, T T*], the normal report from
+    T* T - T T*.  ex54a builds no section and asks ``commutator_report``.
     """
     phis = list(phis)
     if len(phis) != 4:
@@ -383,18 +388,20 @@ def special_case_checks(
         out["normal_report"] = commutator_report(block, "normal", order, tolerance).to_json()
         return out
 
-    block, t, entries = _block_section(phis, order)
+    t, entries = _block_section(phis, order)
     _, b, c, _ = entries
+    ts = t.adjoint()
+    tst, tts = ts @ t, t @ ts
     if case == "ex54b":
         ident = truncate(ScalarSymbol.constant(1.0), order)
         unitary_resid = max(
             (c.adjoint() @ c - ident).window_max_abs(),
             (c @ c.adjoint() - ident).window_max_abs(),
         )
-        nrep = commutator_report(block, "normal", order, tolerance)
+        nrep = (tst - tts).report("normal", tolerance)
         out["unitary_window_residual"] = unitary_resid
         out["unitary_like"] = unitary_resid <= tolerance
-        out["binormal_report"] = commutator_report(block, "binormal", order, tolerance).to_json()
+        out["binormal_report"] = (tst @ tts - tts @ tst).report("binormal", tolerance).to_json()
         out["normal_report"] = nrep.to_json()
         out["consistent"] = (unitary_resid <= tolerance) == (nrep.verdict == VERDICT_CLEAN)
         return out
@@ -404,7 +411,7 @@ def special_case_checks(
         psi = p1 + p4.conj_reflect()
         real_resid = psi.conj_reflect().max_coeff_diff(psi)
         is_real = real_resid <= _zero_tol(psi)
-        rep = commutator_report(block, "normal", order, tolerance)
+        rep = (tst - tts).report("normal", tolerance)
         out["real_valued_residual"] = real_resid
         out["real_valued"] = is_real
         out["normal_report"] = rep.to_json()
@@ -418,8 +425,6 @@ def special_case_checks(
         out["identity_residual"] = residual
         holds = residual <= tolerance
     else:  # cor52ii
-        ts = t.adjoint()
-        tst, tts = ts @ t, t @ ts
         t1, t2, t3, s2 = tst.entry(0, 0), tst.entry(0, 1), tst.entry(1, 1), tts.entry(0, 1)
         skew = t2.adjoint() - t2
         r1 = (t1 @ skew - skew @ t3).window_max_abs()
@@ -428,7 +433,7 @@ def special_case_checks(
         out["skew_balance_residual"] = r1
         out["square_selfadjoint_residual"] = r2
         holds = r1 <= tolerance and r2 <= tolerance
-    rep = commutator_report(block, "binormal", order, tolerance)
+    rep = (tst @ tts - tts @ tst).report("binormal", tolerance)
     out["identity_holds"] = holds
     out["binormal_report"] = rep.to_json()
     out["consistent"] = holds == (rep.verdict == VERDICT_CLEAN)

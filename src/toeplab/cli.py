@@ -44,7 +44,7 @@ from .serialize import (
 )
 from .suite import ACCEPTANCE_SEED, run_suite
 from .symbols import MatrixSymbol, ScalarSymbol
-from .toeplitz import DEFAULT_ORDER, DEFAULT_TOLERANCE, PROPERTIES, WindowError, convergence_rows
+from .toeplitz import DEFAULT_ORDER, DEFAULT_TOLERANCE, PROPERTIES, WindowError, commutator_report
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -146,7 +146,7 @@ def cmd_check(job: JobSpec) -> int:
         symbol = parsed
     if job.property == "f-selfadjoint" and not isinstance(symbol, ScalarSymbol):
         raise SymbolFormatError("the f-selfadjoint check applies to scalar symbols only")
-    reports = convergence_rows(symbol, job.property, job.orders, job.tolerance)
+    reports = [commutator_report(symbol, job.property, n, job.tolerance) for n in job.orders]
     payload = {
         "meta": _meta(job),
         "property": job.property,

@@ -292,7 +292,7 @@ def criterion_known_fixtures(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     checks["shift_binormal_window_norm"] = rep.window_norm <= 1e-12
 
     k = commutator_matrix(one + z, "binormal", NUMERIC_ORDER)
-    rep = commutator_report(one + z, "binormal", NUMERIC_ORDER, NUMERIC_TOL)
+    rep = k.report("binormal", NUMERIC_TOL)
     checks["one_plus_z_violated"] = rep.verdict == VERDICT_VIOLATED
     checks["one_plus_z_exact_entries"] = bool(
         k.data[0, 1] == 1.0 + 0.0j

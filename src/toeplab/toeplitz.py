@@ -13,22 +13,22 @@ products on a leading window:
 
 Each ``ToeplitzTruncation`` carries that accumulated bandwidth as ``margin``:
 fresh sections start at the symbol bandwidth, products add margins, sums and
-differences take the maximum, adjoints, scalar multiples and the scalar
-entries of a block section (``entry``) keep it.  Reports
-read entries only from the exact window, so a nonzero entry there disproves
-an operator identity, while a clean window is reported as
-"no violation up to the window", never as a proof.
+differences take the maximum, adjoints and the scalar entries of a block
+section (``entry``) keep it.  Reports read entries only from the exact
+window, so a nonzero entry there disproves an operator identity, while a
+clean window is reported as "no violation up to the window", never as a
+proof.
 
 The margin is the only order policy: any order >= 1 builds a section, and
 ``window_max_abs`` raises ``WindowError`` exactly when a product's window is
-empty (order <= margin).  ``commutator_report`` is the one reader that turns
-a commutator window into a ``CommutatorReport``.
+empty (order <= margin).  ``ToeplitzTruncation.report`` is the one reader
+that turns a product's window into a ``CommutatorReport``; callers that
+already hold the product read its report there instead of rebuilding it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -117,15 +117,22 @@ class ToeplitzTruncation:
             self.order, self.block_dim, max(self.margin, other.margin), self.data - other.data
         )
 
-    def __neg__(self) -> "ToeplitzTruncation":
-        return ToeplitzTruncation(self.order, self.block_dim, self.margin, -self.data)
+    def report(self, property: str, tolerance: float) -> "CommutatorReport":
+        """Read this product's window as the report for ``property``.
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ToeplitzTruncation(self.order, self.block_dim, self.margin, other * self.data)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        ``violated`` certifies the identity fails (a window entry is a true
+        entry of the infinite operator); the clean verdict is only a bound up
+        to the window, never a proof.  An empty window raises ``WindowError``.
+        """
+        norm = self.window_max_abs()
+        return CommutatorReport(
+            property=property,
+            order=self.order,
+            window_limit=self.window_limit,
+            window_norm=norm,
+            verdict=VERDICT_VIOLATED if norm > tolerance else VERDICT_CLEAN,
+            tolerance=tolerance,
+        )
 
 
 def truncate(symbol: MatrixSymbol | ScalarSymbol, order: int) -> ToeplitzTruncation:
@@ -223,25 +230,13 @@ def commutator_report(
     order: int = DEFAULT_ORDER,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CommutatorReport:
-    """Evaluate [T*,T], [T*T,T], [T*T,TT*] or F - F* on the exact window.
+    """Build [T*,T], [T*T,T], [T*T,TT*] or F - F* and read its report.
 
-    ``violated`` certifies the identity fails (a window entry is a true entry
-    of the infinite commutator); the clean verdict is only a bound up to the
-    window, never a proof.  The order only has to exceed the product's own
-    margin (see ``commutator_matrix``); at or below it the window is empty
-    and ``WindowError`` is raised.
+    This is ``commutator_matrix(...).report(...)``.  The order only has to
+    exceed the product's own margin (see ``commutator_matrix``); at or below
+    it the window is empty and ``WindowError`` is raised.
     """
-    k = commutator_matrix(symbol, property, order)
-    norm = k.window_max_abs()
-    verdict = VERDICT_VIOLATED if norm > tolerance else VERDICT_CLEAN
-    return CommutatorReport(
-        property=property,
-        order=order,
-        window_limit=k.window_limit,
-        window_norm=norm,
-        verdict=verdict,
-        tolerance=tolerance,
-    )
+    return commutator_matrix(symbol, property, order).report(property, tolerance)
 
 
 def _weighted_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
@@ -270,12 +265,3 @@ def conjugation_identity_check(phi: MatrixSymbol, order: int) -> float:
     weights = np.array([order - abs(n) for n in lags], dtype=float)
     return _weighted_norm(blocks, weights)
 
-
-def convergence_rows(
-    symbol: MatrixSymbol | ScalarSymbol,
-    property: str,
-    orders: Sequence[int],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[CommutatorReport]:
-    """One report per requested truncation order (the CSV table content)."""
-    return [commutator_report(symbol, property, n, tolerance) for n in orders]

@@ -340,6 +340,63 @@ def test_condition_system_truncates_the_block_once(monkeypatch):
     assert isinstance(calls[0], MatrixSymbol) and calls[0].dim == 2
 
 
+def _block(phis):
+    return MatrixSymbol.from_entries([[phis[0], phis[1]], [phis[2], phis[3]]])
+
+
+def _count_commutator_reports(monkeypatch):
+    calls = []
+    real = classify.commutator_report
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(classify, "commutator_report", counted)
+    return calls
+
+
+def _special_case_inputs(rng):
+    a, b = _family(rng, 2)
+    return {
+        "cor52i": [ONE, a, b, ONE],
+        "cor52ii": [a, ONE, ONE, b],
+        "cor53ii": [a, ONE, ONE, a],
+        "ex54a": [ZERO, ZERO, ONE + Z, ZERO],
+        "ex54b": [ZERO, ONE, Z, ZERO],
+    }
+
+
+def test_block_checks_read_their_reports_from_the_section(monkeypatch):
+    calls = _count_commutator_reports(monkeypatch)
+    rng = np.random.default_rng(43)
+    block2_condition_system(_family(rng), 48, 1e-8)
+    assert calls == []
+    for case, phis in _special_case_inputs(rng).items():
+        special_case_checks(phis, case, 48, 1e-8)
+        assert calls == (["binormal", "normal"] if case == "ex54a" else []), case
+        calls.clear()
+
+
+def test_block_check_reports_equal_the_commutator_report_of_the_block():
+    rng = np.random.default_rng(44)
+    for phis in _oracle_families(rng):
+        block = _block(phis)
+        for order in (13, 40):
+            rep = block2_condition_system(phis, order, 1e-8)
+            assert rep.binormal_report == commutator_report(block, "binormal", order, 1e-8)
+            assert rep.normal_report == commutator_report(block, "normal", order, 1e-8)
+    names = {"binormal_report": "binormal", "normal_report": "normal"}
+    for _ in range(8):
+        for case, phis in _special_case_inputs(rng).items():
+            block = _block(phis)
+            for order in (13, 40):
+                rep = special_case_checks(phis, case, order, 1e-8)
+                for key in names.keys() & rep.keys():
+                    want = commutator_report(block, names[key], order, 1e-8).to_json()
+                    assert rep[key] == want, (case, key)
+
+
 def test_condition_system_rejects_non_normal_entries():
     with pytest.raises(ValueError):
         block2_condition_system([Z, ONE, ONE, Z], 48, 1e-8)

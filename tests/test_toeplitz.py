@@ -189,6 +189,32 @@ def test_report_window_limit_reflects_margin():
     assert rep.window_limit == (32 - 2 * 2) * 2
 
 
+def test_report_of_a_product_is_the_commutator_report():
+    rng = np.random.default_rng(42)
+    saw = set()
+    for d in (1, 2, 3):
+        for w in (1, 2):
+            phi = rand_scalar(rng, w) if d == 1 else rand_matrix(rng, d, w)
+            for prop, margin in MARGINS.items():
+                if prop == "f-selfadjoint" and d > 1:
+                    continue
+                for n in (margin(phi.bandwidth) + 1, 64):
+                    for tol in (1e-8, 1e3):
+                        k = commutator_matrix(phi, prop, n)
+                        rep = k.report(prop, tol)
+                        assert rep == commutator_report(phi, prop, n, tol)
+                        norm = float(np.max(np.abs(k.window_view())))
+                        assert (rep.property, rep.order, rep.tolerance) == (prop, n, tol)
+                        assert rep.window_limit == (n - margin(phi.bandwidth)) * d
+                        assert rep.window_norm == norm
+                        assert rep.verdict == (VERDICT_VIOLATED if norm > tol else VERDICT_CLEAN)
+                        saw.add(rep.verdict)
+    assert saw == {VERDICT_CLEAN, VERDICT_VIOLATED}
+    k = commutator_matrix(Z, "binormal", 4)
+    with pytest.raises(WindowError):
+        k.report("binormal", 1e-8)
+
+
 # ---------------------------------------------------------------------------
 # the F self-adjointness route
 
