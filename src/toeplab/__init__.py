@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .circulant import (
     CirculantPatternError,
     CirculantSymbol,
-    DftUnitary,
     DiagonalSymbol,
     circulant_eigen_symbols,
     circulant_from_matrix_symbol,
@@ -45,7 +44,6 @@ from .toeplitz import (
     WindowError,
     commutator_report,
     conjugation_identity_check,
-    shift,
     truncate,
 )
 
@@ -56,7 +54,6 @@ __all__ = [
     "ClassificationCertificate",
     "CommutatorReport",
     "ConditionSystemReport",
-    "DftUnitary",
     "DiagonalSymbol",
     "EquivalenceReport",
     "GammaImage",
@@ -84,7 +81,6 @@ __all__ = [
     "psi_lambda_blocks",
     "reducing_projectors",
     "scalar_binormal_classify",
-    "shift",
     "special_case_checks",
     "theorem41_probe",
     "truncate",

@@ -9,7 +9,6 @@ to a diagonal symbol whose entries are coefficientwise DFTs of the row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,24 +24,13 @@ class CirculantPatternError(ValueError):
         super().__init__(message or f"entry ({i}, {j}) violates the circulant pattern")
 
 
-@dataclass(frozen=True)
-class DftUnitary:
-    """The constant n x n unitary of Fourier eigenvectors.
+def dft_unitary(n: int) -> np.ndarray:
+    """The constant n x n unitary of Fourier eigenvectors, read-only.
 
     Column k is (1/sqrt n) * (1, mu^k, mu^(2k), ..., mu^((n-1)k))^T with
     mu = e^(2 pi i / n).  Built from the closed form, never from an
     eigensolver, so the conjugation identity is deterministic.
     """
-
-    n: int
-    mu: complex
-    matrix: np.ndarray
-
-    def column(self, k: int) -> np.ndarray:
-        return self.matrix[:, k]
-
-
-def dft_unitary(n: int) -> DftUnitary:
     if n < 1:
         raise ValueError(f"size must be a positive integer, got {n}")
     mu = complex(np.exp(2j * np.pi / n))
@@ -50,7 +38,7 @@ def dft_unitary(n: int) -> DftUnitary:
     powers = np.outer(j, j)
     matrix = mu ** powers / np.sqrt(n)
     matrix.setflags(write=False)
-    return DftUnitary(n=n, mu=mu, matrix=matrix)
+    return matrix
 
 
 class CirculantSymbol:
@@ -152,14 +140,12 @@ def circulant_eigen_symbols(c: CirculantSymbol) -> DiagonalSymbol:
     return DiagonalSymbol(lambdas)
 
 
-def diagonalize_check(c: CirculantSymbol, samples: Sequence[complex] | None = None) -> float:
-    """Max over sample points of ||U* C(z) U - Lambda(z)||_F."""
-    if samples is None:
-        samples = unit_samples()
-    u = dft_unitary(c.n).matrix
+def diagonalize_check(c: CirculantSymbol) -> float:
+    """Max of ||U* C(z) U - Lambda(z)||_F over the 17 points of ``unit_samples``."""
+    u = dft_unitary(c.n)
     lam = circulant_eigen_symbols(c)
     worst = 0.0
-    for z in samples:
+    for z in unit_samples():
         resid = np.linalg.norm(u.conj().T @ c(z) @ u - lam(z))
         worst = max(worst, float(resid))
     return worst

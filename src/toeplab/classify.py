@@ -274,22 +274,6 @@ class ConditionSystemReport:
     def normal_consistent(self) -> bool:
         return self.normality_holds == (self.normal_report.verdict == VERDICT_CLEAN)
 
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "tolerance": self.tolerance,
-            "system_a_residuals": list(self.system_a),
-            "system_b_residuals": list(self.system_b),
-            "normality_residuals": list(self.normality),
-            "system_a_holds": self.system_a_holds,
-            "system_b_holds": self.system_b_holds,
-            "normality_holds": self.normality_holds,
-            "binormal_report": self.binormal_report.to_json(),
-            "normal_report": self.normal_report.to_json(),
-            "binormal_consistent": self.binormal_consistent,
-            "normal_consistent": self.normal_consistent,
-        }
-
 
 def block2_condition_system(
     phis: Sequence[ScalarSymbol],

@@ -1,24 +1,35 @@
 """Command-line entry point: parse symbol files, dispatch checks, emit reports.
 
-One subcommand per claim family.  Reports are JSON on stdout or at ``--out``;
-``check`` additionally writes a CSV convergence table next to ``--out``.
+One subcommand per claim family, each taking only the options it reads:
+
+* ``diagonalize``, ``classify`` and ``gamma``: ``--input`` and ``--out``;
+* ``check``: also ``--property``, a comma-separated ``--order`` list and
+  ``--tolerance``;
+* ``probe-t41`` and ``reduce``: also ``--order`` (exactly one order >= 1; a
+  list exits 2) and ``--tolerance``;
+* ``suite``: ``--seed`` and ``--out``.
+
+Reports are JSON on stdout or at ``--out``; ``check`` additionally writes a
+CSV convergence table next to ``--out``.  A report's ``meta`` records the
+input and its digest, plus ``orders`` and ``tolerance`` for the commands that
+take them.  A tolerance must be finite and >= 0.
 Verdicts are data, not failures: exit status is 0 for a completed run,
-1 for acceptance-suite failures, 2 for unusable input, 3 for a truncation
-order that leaves the requested product no exact window (``check`` only: the
-order is at most the product's margin, see ``toeplitz.commutator_matrix``).
+1 for acceptance-suite failures, 2 for unusable input or options and for an
+``--out`` that cannot be written, 3 for a truncation order that leaves the
+requested product no exact window (``check`` only: the order is at most the
+product's margin, see ``toeplitz.commutator_matrix``).
 ``probe-t41`` reads whole sections and ``reduce`` reads the symbol's
 coefficients with each lag weighted by its count in the section (see
-``reducing.verify_reducing``); both take exactly one order >= 1, and a
-list of orders, which only ``check`` takes, exits 2.  ``suite``
-compares criterion 9's gap data with the checkout's
-``reference/theorem41_gaps.json``; without that file criterion 9 fails.
+``reducing.verify_reducing``).  ``suite`` compares criterion 9's gap data
+with the checkout's ``reference/theorem41_gaps.json``; without that file
+criterion 9 fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,17 +66,6 @@ EXIT_WINDOW = 3
 REFERENCE_PATH = Path(__file__).resolve().parents[2] / "reference" / "theorem41_gaps.json"
 
 
-@dataclass
-class JobSpec:
-    command: str
-    input_path: str | None
-    property: str | None
-    orders: list[int]
-    tolerance: float
-    seed: int
-    out: str | None
-
-
 def _parse_orders(text: str) -> list[int]:
     try:
         orders = [int(x) for x in text.split(",") if x.strip()]
@@ -83,29 +83,28 @@ def _parse_order(text: str) -> list[int]:
     return orders
 
 
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        property=getattr(args, "property", None),
-        orders=getattr(args, "order", None) or [DEFAULT_ORDER],
-        tolerance=getattr(args, "tolerance", DEFAULT_TOLERANCE),
-        seed=getattr(args, "seed", ACCEPTANCE_SEED),
-        out=getattr(args, "out", None),
-    )
+def _parse_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
-def _meta(job: JobSpec) -> dict:
-    return {
+def _meta(args: argparse.Namespace) -> dict:
+    meta = {
         "tool": "toeplab",
         "version": __version__,
-        "command": job.command,
-        "input": job.input_path,
-        "input_digest": file_digest(job.input_path) if job.input_path else None,
-        "orders": job.orders,
-        "tolerance": job.tolerance,
-        "seed": job.seed,
+        "command": args.command,
+        "input": args.input,
+        "input_digest": file_digest(args.input),
     }
+    if "order" in args:  # check, probe-t41 and reduce, which also take --tolerance
+        meta["orders"] = args.order
+        meta["tolerance"] = args.tolerance
+    return meta
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -122,50 +121,50 @@ def _as_circulant(parsed: MatrixSymbol | CirculantSymbol) -> CirculantSymbol:
     return circulant_from_matrix_symbol(parsed)
 
 
-def cmd_diagonalize(job: JobSpec) -> int:
-    circ = _as_circulant(load_input(job.input_path))
+def cmd_diagonalize(args: argparse.Namespace) -> int:
+    circ = _as_circulant(load_input(args.input))
     lam = circulant_eigen_symbols(circ)
     report = {
-        "meta": _meta(job),
+        "meta": _meta(args),
         "n": circ.n,
         "eigen_symbols": [scalar_to_json(x) for x in lam.lambdas],
         "max_residual": diagonalize_check(circ),
         "sample_count": 17,
     }
-    _write_report(report, job.out)
+    _write_report(report, args.out)
     return EXIT_OK
 
 
-def cmd_check(job: JobSpec) -> int:
-    parsed = load_input(job.input_path)
+def cmd_check(args: argparse.Namespace) -> int:
+    parsed = load_input(args.input)
     if isinstance(parsed, CirculantSymbol):
         symbol: MatrixSymbol | ScalarSymbol = parsed.as_matrix_symbol()
     elif parsed.dim == 1:
         symbol = parsed.entry(0, 0)
     else:
         symbol = parsed
-    if job.property == "f-selfadjoint" and not isinstance(symbol, ScalarSymbol):
+    if args.property == "f-selfadjoint" and not isinstance(symbol, ScalarSymbol):
         raise SymbolFormatError("the f-selfadjoint check applies to scalar symbols only")
-    reports = [commutator_report(symbol, job.property, n, job.tolerance) for n in job.orders]
+    reports = [commutator_report(symbol, args.property, n, args.tolerance) for n in args.order]
     payload = {
-        "meta": _meta(job),
-        "property": job.property,
+        "meta": _meta(args),
+        "property": args.property,
         "reports": [r.to_json() for r in reports],
     }
-    _write_report(payload, job.out)
-    if job.out:
-        p = Path(job.out)
+    _write_report(payload, args.out)
+    if args.out:
+        p = Path(args.out)
         csv_path = p.with_suffix(".csv") if p.suffix else Path(str(p) + ".csv")
         csv_path.write_text(convergence_csv(reports), encoding="utf-8")
     return EXIT_OK
 
 
-def cmd_classify(job: JobSpec) -> int:
-    parsed = load_input(job.input_path)
+def cmd_classify(args: argparse.Namespace) -> int:
+    parsed = load_input(args.input)
     if isinstance(parsed, MatrixSymbol) and parsed.dim == 1:
         phi = parsed.entry(0, 0)
         payload = {
-            "meta": _meta(job),
+            "meta": _meta(args),
             "kind": "scalar",
             "binormal": scalar_binormal_classify(phi).to_json(),
             "normal": brown_halmos_normal_test(phi).to_json(),
@@ -173,80 +172,69 @@ def cmd_classify(job: JobSpec) -> int:
     else:
         circ = _as_circulant(parsed)
         payload = {
-            "meta": _meta(job),
+            "meta": _meta(args),
             "kind": "circulant",
             **circulant_binormal_classify(circ).to_json(),
         }
-    _write_report(payload, job.out)
+    _write_report(payload, args.out)
     return EXIT_OK
 
 
-def cmd_gamma(job: JobSpec) -> int:
-    parsed = load_input(job.input_path)
+def cmd_gamma(args: argparse.Namespace) -> int:
+    parsed = load_input(args.input)
     sym = parsed.as_matrix_symbol() if isinstance(parsed, CirculantSymbol) else parsed
     image = gamma(sym)
     back = gamma_adjoint(image.circulant)
     payload = {
-        "meta": _meta(job),
+        "meta": _meta(args),
         "n": sym.dim,
         "dilated": circulant_to_json(image.circulant),
         "roundtrip_max_diff": back.max_coeff_diff((sym.dim * sym.dim) * sym),
     }
-    _write_report(payload, job.out)
+    _write_report(payload, args.out)
     return EXIT_OK
 
 
-def cmd_probe_t41(job: JobSpec) -> int:
-    parsed = load_input(job.input_path)
+def cmd_probe_t41(args: argparse.Namespace) -> int:
+    parsed = load_input(args.input)
     sym = parsed.as_matrix_symbol() if isinstance(parsed, CirculantSymbol) else parsed
     if sym.dim != 2:
         raise SymbolFormatError(f"probe-t41 requires a 2 x 2 symbol, got dim {sym.dim}")
-    rep = theorem41_probe(sym, job.orders[0], job.tolerance)
-    payload = {"meta": _meta(job), **rep.to_json()}
-    _write_report(payload, job.out)
+    rep = theorem41_probe(sym, args.order[0], args.tolerance)
+    payload = {"meta": _meta(args), **rep.to_json()}
+    _write_report(payload, args.out)
     return EXIT_OK
 
 
-def cmd_reduce(job: JobSpec) -> int:
-    circ = _as_circulant(load_input(job.input_path))
-    order = job.orders[0]
+def cmd_reduce(args: argparse.Namespace) -> int:
+    circ = _as_circulant(load_input(args.input))
+    order = args.order[0]
     projectors = reducing_projectors(circ, order)
     sym = circ.as_matrix_symbol()
-    reports = [verify_reducing(p, sym, order, job.tolerance) for p in projectors]
+    reports = [verify_reducing(p, sym, order, args.tolerance) for p in projectors]
     total = sum(p.matrix for p in projectors)
     payload = {
-        "meta": _meta(job),
+        "meta": _meta(args),
         "n": circ.n,
         "order": order,
         "projectors": [r.to_json() for r in reports],
         "sum_to_identity_residual": float(np.linalg.norm(total - np.eye(order * circ.n))),
     }
-    _write_report(payload, job.out)
+    _write_report(payload, args.out)
     return EXIT_OK
 
 
-def cmd_suite(job: JobSpec) -> int:
-    result = run_suite(seed=job.seed, reference_path=str(REFERENCE_PATH))
+def cmd_suite(args: argparse.Namespace) -> int:
+    result = run_suite(seed=args.seed, reference_path=str(REFERENCE_PATH))
     for r in result.results:
         sys.stdout.write(r.line() + "\n")
     sys.stdout.write(
         f"suite: {sum(r.passed for r in result.results)} passed, "
         f"{sum(not r.passed for r in result.results)} failed\n"
     )
-    if job.out:
-        Path(job.out).write_text(render_json(result.to_json()) + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(render_json(result.to_json()) + "\n", encoding="utf-8")
     return EXIT_OK if result.passed else EXIT_SUITE_FAILURE
-
-
-_HANDLERS = {
-    "diagonalize": cmd_diagonalize,
-    "check": cmd_check,
-    "classify": cmd_classify,
-    "gamma": cmd_gamma,
-    "probe-t41": cmd_probe_t41,
-    "reduce": cmd_reduce,
-    "suite": cmd_suite,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,59 +245,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"toeplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-        if with_input:
-            p.add_argument("--input", required=True, help="symbol or circulant JSON file")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                       help=f"verdict tolerance (default {DEFAULT_TOLERANCE})")
-        p.add_argument("--seed", type=int, default=ACCEPTANCE_SEED,
-                       help="seed recorded in reports and used by seeded commands")
+    def command(name, handler, summary, order=None, order_help=""):
+        """A subcommand on one input file, with --order (parsed by ``order``)
+        and --tolerance when ``order`` is given."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        p.add_argument("--input", required=True, help="symbol or circulant JSON file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
+        if order is not None:
+            p.add_argument("--order", type=order, default=[DEFAULT_ORDER],
+                           help=f"{order_help} (default {DEFAULT_ORDER})")
+            p.add_argument("--tolerance", type=_parse_tolerance, default=DEFAULT_TOLERANCE,
+                           help=f"verdict tolerance, finite and >= 0 (default {DEFAULT_TOLERANCE})")
+        return p
 
-    p = sub.add_parser("diagonalize", help="eigenvalue symbols and conjugation residual")
-    common(p)
-
-    p = sub.add_parser("check", help="window-exact commutator verdicts over truncation orders")
-    common(p)
+    command("diagonalize", cmd_diagonalize, "eigenvalue symbols and conjugation residual")
+    p = command("check", cmd_check, "window-exact commutator verdicts over truncation orders",
+                _parse_orders, "comma-separated truncation orders")
     p.add_argument("--property", required=True, choices=PROPERTIES)
-    p.add_argument("--order", type=_parse_orders, default=None,
-                   help=f"comma-separated truncation orders (default {DEFAULT_ORDER})")
-
-    p = sub.add_parser("classify", help="coefficient-level normality/binormality certificates")
-    common(p)
-
-    p = sub.add_parser("gamma", help="flatten a matrix symbol into its dilated circulant")
-    common(p)
-
-    p = sub.add_parser("probe-t41", help="evidence on the dilation block equivalence claim")
-    common(p)
-    p.add_argument("--order", type=_parse_order, default=None,
-                   help=f"truncation order (default {DEFAULT_ORDER})")
-
-    p = sub.add_parser("reduce", help="build and verify reducing projectors for a circulant")
-    common(p)
-    p.add_argument("--order", type=_parse_order, default=None,
-                   help=f"truncation order (default {DEFAULT_ORDER})")
-
+    command("classify", cmd_classify, "coefficient-level normality/binormality certificates")
+    command("gamma", cmd_gamma, "flatten a matrix symbol into its dilated circulant")
+    command("probe-t41", cmd_probe_t41, "evidence on the dilation block equivalence claim",
+            _parse_order, "truncation order")
+    command("reduce", cmd_reduce, "build and verify reducing projectors for a circulant",
+            _parse_order, "truncation order")
     p = sub.add_parser("suite", help="run the full acceptance corpus")
-    common(p, with_input=False)
-
+    p.set_defaults(handler=cmd_suite)
+    p.add_argument("--seed", type=int, default=ACCEPTANCE_SEED,
+                   help=f"seed of the acceptance corpus (default {ACCEPTANCE_SEED})")
+    p.add_argument("--out", help="write the JSON report here")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    job = _job_from_args(args)
-    handler = _HANDLERS[job.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(job)
+        return args.handler(args)
     except WindowError as exc:
         sys.stderr.write(f"toeplab: window error: {exc}\n")
         return EXIT_WINDOW
     except ValueError as exc:
         # includes SymbolFormatError and CirculantPatternError
         sys.stderr.write(f"toeplab: input error: {exc}\n")
+        return EXIT_PARSE
+    except OSError as exc:
+        # load_input turns an unreadable input into SymbolFormatError, so this
+        # is an --out that cannot be written
+        sys.stderr.write(f"toeplab: cannot write report: {exc}\n")
         return EXIT_PARSE
 
 

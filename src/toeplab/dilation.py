@@ -129,7 +129,7 @@ def theorem41_probe(
     sv_lam = np.linalg.svd(t_lam.data, compute_uv=False)
     max_gap = float(np.max(np.abs(sv_psi - sv_lam)))
 
-    v = np.kron(np.eye(order), dft_unitary(2).matrix)
+    v = np.kron(np.eye(order), dft_unitary(2))
     conj_resid = float(np.linalg.norm(v @ t_lam.data @ v.conj().T - t_psi.data))
 
     verdict = "consistent" if max_gap <= tolerance else "inconsistent"

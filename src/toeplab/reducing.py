@@ -31,14 +31,22 @@ PROJECTOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OrthogonalProjector:
-    """A dense self-adjoint idempotent with its ambient dimension and rank."""
+    """A dense self-adjoint idempotent; its ambient dimension and rank are
+    read from the matrix, never stored beside it."""
 
     matrix: np.ndarray
-    ambient_dim: int
-    rank: int
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def rank(self) -> int:
+        """The trace, rounded: the rank of a projector."""
+        return int(round(float(np.trace(self.matrix).real)))
 
     def invariant_residuals(self) -> tuple[float, float]:
         """(||Q - Q*||_F, ||Q^2 - Q||_F)."""
@@ -85,20 +93,9 @@ def reducing_projectors(c: CirculantSymbol, order: int) -> list[OrthogonalProjec
     projector; each has rank N, they are mutually orthogonal, sum to the
     identity, and commute with the truncation of the circulant symbol.
     """
-    u = dft_unitary(c.n).matrix
+    u = dft_unitary(c.n)
     eye = np.eye(order)
-    out = []
-    for k in range(c.n):
-        col = u[:, k]
-        small = np.outer(col, col.conj())
-        out.append(
-            OrthogonalProjector(
-                matrix=np.kron(eye, small),
-                ambient_dim=order * c.n,
-                rank=order,
-            )
-        )
-    return out
+    return [OrthogonalProjector(np.kron(eye, np.outer(col, col.conj()))) for col in u.T]
 
 
 @dataclass(frozen=True)

@@ -267,25 +267,15 @@ class MatrixSymbol:
         if self._dim != other._dim:
             raise ValueError(f"dimension mismatch: {self._dim} vs {other._dim}")
 
-    # Scaling and addition go entry by entry through Python complex
-    # arithmetic so that extracting an entry commutes bitwise with the same
-    # operation on ScalarSymbol (numpy's vectorized complex multiply may fuse
-    # differently).  Dimensions are small, so this costs nothing.
-
     def __add__(self, other: "MatrixSymbol") -> "MatrixSymbol":
         if not isinstance(other, MatrixSymbol):
             return NotImplemented
         self._require_same_dim(other)
-        d = self._dim
-        out: dict[int, np.ndarray] = {}
-        for n in set(self._coeffs) | set(other._coeffs):
-            a, b = self.coeff(n), other.coeff(n)
-            mat = np.empty((d, d), dtype=complex)
-            for i in range(d):
-                for j in range(d):
-                    mat[i, j] = complex(a[i, j]) + complex(b[i, j])
-            out[n] = mat
-        return MatrixSymbol(d, out)
+        # componentwise IEEE addition, bitwise the same as ScalarSymbol's
+        return MatrixSymbol(
+            self._dim,
+            {n: self.coeff(n) + other.coeff(n) for n in set(self._coeffs) | set(other._coeffs)},
+        )
 
     def __sub__(self, other: "MatrixSymbol") -> "MatrixSymbol":
         return self + (-other)
@@ -293,6 +283,10 @@ class MatrixSymbol:
     def __neg__(self) -> "MatrixSymbol":
         return MatrixSymbol(self._dim, {n: -m for n, m in self._coeffs.items()})
 
+    # Scaling goes entry by entry through Python complex multiplication so
+    # that extracting an entry commutes bitwise with ScalarSymbol's scaling
+    # (numpy's vectorized complex multiply may fuse differently).  Dimensions
+    # are small, so this costs nothing.
     def _scaled(self, factor: complex) -> "MatrixSymbol":
         d = self._dim
         out: dict[int, np.ndarray] = {}

@@ -156,18 +156,6 @@ def truncate(symbol: MatrixSymbol | ScalarSymbol, order: int) -> ToeplitzTruncat
     return ToeplitzTruncation(order=order, block_dim=d, margin=w, data=data)
 
 
-def shift(block_dim: int, order: int) -> ToeplitzTruncation:
-    """Finite section of the block shift, i.e. the symbol z * I_d."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    d = block_dim
-    eye = np.eye(d, dtype=complex)
-    data = np.zeros((order * d, order * d), dtype=complex)
-    for i in range(1, order):
-        data[i * d:(i + 1) * d, (i - 1) * d:i * d] = eye
-    return ToeplitzTruncation(order=order, block_dim=d, margin=1, data=data)
-
-
 @dataclass(frozen=True)
 class CommutatorReport:
     """Window-exact commutator evidence for one operator identity."""
@@ -199,7 +187,8 @@ def commutator_matrix(
     """The truncation-level test matrix for one of the commutator identities.
 
     ``f-selfadjoint`` is F - F* with F = S* (T*T)(TT*) S - (T*T)(TT*) and S
-    the shift; for scalar symbols F = F* is equivalent to binormality.  The
+    the shift, the section of the symbol z; for scalar symbols F = F* is
+    equivalent to binormality.  The
     product's margin is 2w, 3w, 4w or 4w + 2 (normal, quasinormal, binormal,
     f-selfadjoint) for a symbol of bandwidth w; no order is refused here.
     """
@@ -217,7 +206,7 @@ def commutator_matrix(
         b = t @ ts
         return a @ b - b @ a
     if property == "f-selfadjoint":
-        s = shift(1, order)
+        s = truncate(ScalarSymbol.monomial(1), order)
         ab = (ts @ t) @ (t @ ts)
         f = s.adjoint() @ ab @ s - ab
         return f - f.adjoint()
@@ -257,7 +246,7 @@ def conjugation_identity_check(phi: MatrixSymbol, order: int) -> float:
     if order < 1:
         raise ValueError("order must be >= 1")
     lam = circulant_eigen_symbols(circ).as_matrix_symbol()
-    u = dft_unitary(circ.n).matrix
+    u = dft_unitary(circ.n)
     lags = [n for n in sorted(set(phi.support) | set(lam.support)) if abs(n) < order]
     blocks = np.array(
         [u.conj().T @ phi.coeff(n) @ u - lam.coeff(n) for n in lags], dtype=complex

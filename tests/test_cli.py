@@ -131,3 +131,75 @@ def test_single_order_commands_report_the_order_they_ran(tmp_path, command):
     assert code == cli.EXIT_OK
     assert report["meta"]["orders"] == [8]
     assert report["order"] == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--seed", "3"],
+    ["diagonalize", "--tolerance", "1e-6"],
+    ["gamma", "--order", "8"],
+    ["suite", "--tolerance", "1"],
+    ["suite", "--input", "x.json"],
+])
+def test_options_a_command_does_not_read_are_rejected(tmp_path, argv):
+    if argv[0] != "suite":
+        argv = [*argv, "--input", _write_input(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("command", ["check", "probe-t41", "reduce"])
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "-inf", "tight"])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected(tmp_path, capsys, command,
+                                                                    tolerance):
+    argv = [command, "--input", _write_input(tmp_path), "--order", "9",
+            f"--tolerance={tolerance}"]
+    if command == "check":
+        argv += ["--property", "normal"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_a_zero_tolerance_is_accepted(tmp_path):
+    code, report = _run(tmp_path, "check", "--input", _write_input(tmp_path),
+                        "--property", "normal", "--order", "9", "--tolerance", "0")
+    assert code == cli.EXIT_OK
+    assert report["meta"]["tolerance"] == 0.0
+    assert report["reports"][0]["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--property", "normal", "--order", "9"],
+    ["suite"],
+])
+def test_an_unwritable_out_exits_2_without_a_traceback(tmp_path, capsys, argv):
+    if argv[0] != "suite":
+        argv = [*argv, "--input", _write_input(tmp_path)]
+    out = tmp_path / "missing" / "report.json"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("toeplab: cannot write report:") and str(out) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("diagonalize", []),
+    ("classify", []),
+    ("gamma", []),
+    ("check", ["--property", "normal", "--order", "9,16"]),
+    ("probe-t41", ["--order", "9"]),
+    ("reduce", ["--order", "9"]),
+])
+def test_meta_records_only_the_options_the_command_takes(tmp_path, command, extra):
+    path = _write_input(tmp_path)
+    code, report = _run(tmp_path, command, "--input", path, *extra)
+    assert code == cli.EXIT_OK
+    meta = report["meta"]
+    keys = {"tool", "version", "command", "input", "input_digest"}
+    if extra:
+        keys |= {"orders", "tolerance"}
+        assert meta["tolerance"] == 1e-8
+    assert set(meta) == keys
+    assert meta["command"] == command and meta["input"] == path

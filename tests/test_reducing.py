@@ -105,7 +105,7 @@ def test_projectors_reduce_circulant_at_orders_up_to_4w(order):
 def test_full_projector_is_trivially_reducing():
     rng = np.random.default_rng(54)
     c = rand_circulant(rng, 2)
-    q = OrthogonalProjector(np.eye(16, dtype=complex), ambient_dim=16, rank=16)
+    q = OrthogonalProjector(np.eye(16, dtype=complex))
     rep = verify_reducing(q, c.as_matrix_symbol(), 8, 1e-10)
     assert rep.verdict == "reducing"
     assert rep.trivial
@@ -114,7 +114,7 @@ def test_full_projector_is_trivially_reducing():
 def test_verify_rejects_non_projector():
     rng = np.random.default_rng(55)
     junk = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    q = OrthogonalProjector(junk, ambient_dim=8, rank=4)
+    q = OrthogonalProjector(junk)
     with pytest.raises(ValueError):
         verify_reducing(q, rand_circulant(rng, 2).as_matrix_symbol(), 4, 1e-10)
 
@@ -122,7 +122,7 @@ def test_verify_rejects_non_projector():
 def test_verify_rejects_dimension_mismatch():
     rng = np.random.default_rng(56)
     c = rand_circulant(rng, 2)
-    q = OrthogonalProjector(np.eye(10, dtype=complex), ambient_dim=10, rank=10)
+    q = OrthogonalProjector(np.eye(10, dtype=complex))
     with pytest.raises(ValueError):
         verify_reducing(q, c.as_matrix_symbol(), 16, 1e-10)
 
@@ -133,7 +133,7 @@ def test_coordinate_projector_fails_for_non_circulant_symbol():
     order = 12
     e0 = np.zeros((2, 2), dtype=complex)
     e0[0, 0] = 1.0
-    q = OrthogonalProjector(np.kron(np.eye(order), e0), ambient_dim=2 * order, rank=order)
+    q = OrthogonalProjector(np.kron(np.eye(order), e0))
     rep = verify_reducing(q, phi, order, 1e-10)
     assert rep.verdict == "not_reducing"
     # dense commutator oracle
@@ -156,7 +156,7 @@ def test_commutator_and_block_diagonal_verdicts_agree():
     phi = MatrixSymbol.from_entries([[Z, ONE], [2.0 * ONE, ZBAR]])
     e0 = np.zeros((2, 2), dtype=complex)
     e0[0, 0] = 1.0
-    q = OrthogonalProjector(np.kron(np.eye(order), e0), ambient_dim=2 * order, rank=order)
+    q = OrthogonalProjector(np.kron(np.eye(order), e0))
     rep = verify_reducing(q, phi, order, 1e-10)
     assert (rep.verdict == "reducing") == (rep.offdiagonal_norm <= 1e-10)
 
@@ -197,7 +197,7 @@ def dense_reducing(q, phi, order, tolerance):
 def random_block_projector(rng, d, rank, order):
     basis, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     p = basis[:, :rank] @ basis[:, :rank].conj().T
-    return OrthogonalProjector(np.kron(np.eye(order), p), ambient_dim=order * d, rank=order * rank)
+    return OrthogonalProjector(np.kron(np.eye(order), p))
 
 
 def random_matrix_symbol(rng, d, w=3):
@@ -266,7 +266,7 @@ def test_verify_rejects_a_projector_that_is_not_block_constant():
     order, d = 6, 3
     head = np.zeros((order, order))
     head[0, 0] = 1.0
-    q = OrthogonalProjector(np.kron(head, np.eye(d)).astype(complex), ambient_dim=order * d, rank=d)
+    q = OrthogonalProjector(np.kron(head, np.eye(d)).astype(complex))
     assert q.is_valid()
     phi = MatrixSymbol.identity(d)
     with pytest.raises(ValueError, match="block-constant"):

@@ -257,3 +257,27 @@ def test_overflowing_arithmetic_is_rejected():
         big * big
     with pytest.raises(ValueError), np.errstate(over="ignore"):
         MatrixSymbol(1, {0: [[1e200]]}) * MatrixSymbol(1, {0: [[1e200]]})
+
+
+def test_matrix_addition_is_python_complex_addition_bitwise():
+    # entries over 16 decades; entry extraction must commute with addition
+    rng = np.random.default_rng(81)
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        a, b = (
+            MatrixSymbol(d, {
+                int(n): (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                * 10.0 ** rng.integers(-8, 9, (d, d))
+                for n in rng.choice(np.arange(-3, 4), size=3, replace=False)
+            })
+            for _ in range(2)
+        )
+        total = a + b
+        assert total.support == tuple(sorted(set(a.support) | set(b.support)))
+        for n in total.support:
+            want = np.array([[complex(x) + complex(y) for x, y in zip(ra, rb)]
+                             for ra, rb in zip(a.coeff(n), b.coeff(n))])
+            assert total.coeff(n).tobytes() == want.tobytes()
+        for i in range(d):
+            for j in range(d):
+                assert total.entry(i, j) == a.entry(i, j) + b.entry(i, j)

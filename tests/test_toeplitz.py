@@ -18,7 +18,6 @@ from toeplab.toeplitz import (
     commutator_matrix,
     commutator_report,
     conjugation_identity_check,
-    shift,
     truncate,
 )
 
@@ -88,10 +87,10 @@ def test_truncate_rejects_order_at_or_below_4w():
 
 
 def test_shift_small_and_isometry_window():
-    s = shift(1, 2)
+    s = truncate(Z, 2)
     assert np.array_equal(s.data, np.array([[0, 0], [1, 0]], dtype=complex))
     n = 10
-    s = shift(1, n)
+    s = truncate(Z, n)
     sts = s.adjoint().data @ s.data
     # isometry on indices below N-1
     assert np.array_equal(sts[: n - 1, : n - 1], np.eye(n - 1, dtype=complex))
@@ -316,7 +315,7 @@ def _dense_conjugation_residual(phi, order):
     """||V* T_Phi V - T_Lambda||_F with V = I_N (x) U, from the dense sections."""
     circ = circulant_from_matrix_symbol(phi)
     lam = circulant_eigen_symbols(circ).as_matrix_symbol()
-    v = np.kron(np.eye(order), dft_unitary(circ.n).matrix)
+    v = np.kron(np.eye(order), dft_unitary(circ.n))
     resid = v.conj().T @ truncate(phi, order).data @ v - truncate(lam, order).data
     return float(np.linalg.norm(resid))
 
