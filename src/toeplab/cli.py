@@ -10,9 +10,13 @@ One subcommand per claim family, each taking only the options it reads:
 * ``suite``: ``--seed`` and ``--out``.
 
 Reports are JSON on stdout or at ``--out``; ``check`` additionally writes a
-CSV convergence table next to ``--out``.  A report's ``meta`` records the
-input and its digest, plus ``orders`` and ``tolerance`` for the commands that
-take them.  A tolerance must be finite and >= 0.
+CSV convergence table next to ``--out``, at ``--out`` with the suffix
+``.csv``, so it refuses an ``--out`` that already ends in ``.csv`` (exit 2).
+Every output file is opened, and emptied, before any work starts, as a shell
+redirection is: an unwritable ``--out`` costs nothing, and a run that fails
+leaves it empty.  A report's ``meta`` records the input and its digest, plus
+``orders`` and ``tolerance`` for the commands that take them.  A tolerance
+must be finite and >= 0.
 Verdicts are data, not failures: exit status is 0 for a completed run,
 1 for acceptance-suite failures, 2 for unusable input or options and for an
 ``--out`` that cannot be written, 3 for a truncation order that leaves the
@@ -30,7 +34,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import ExitStack
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -93,6 +99,20 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
+def _csv_path(out: str) -> Path:
+    """Where ``check`` writes its CSV table: ``out`` with the suffix ``.csv``."""
+    p = Path(out)
+    return p.with_suffix(".csv") if p.suffix else Path(str(p) + ".csv")
+
+
+def _parse_check_out(text: str) -> str:
+    if _csv_path(text) == Path(text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is where check writes its CSV table; give the JSON report another suffix"
+        )
+    return text
+
+
 def _meta(args: argparse.Namespace) -> dict:
     meta = {
         "tool": "toeplab",
@@ -107,12 +127,8 @@ def _meta(args: argparse.Namespace) -> dict:
     return meta
 
 
-def _write_report(report: dict, out: str | None) -> None:
-    text = render_json(report) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write_report(report: dict, out: TextIO | None) -> None:
+    (out or sys.stdout).write(render_json(report) + "\n")
 
 
 def _as_circulant(parsed: MatrixSymbol | CirculantSymbol) -> CirculantSymbol:
@@ -131,7 +147,7 @@ def cmd_diagonalize(args: argparse.Namespace) -> int:
         "max_residual": diagonalize_check(circ),
         "sample_count": 17,
     }
-    _write_report(report, args.out)
+    _write_report(report, args.report)
     return EXIT_OK
 
 
@@ -151,11 +167,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         "property": args.property,
         "reports": [r.to_json() for r in reports],
     }
-    _write_report(payload, args.out)
-    if args.out:
-        p = Path(args.out)
-        csv_path = p.with_suffix(".csv") if p.suffix else Path(str(p) + ".csv")
-        csv_path.write_text(convergence_csv(reports), encoding="utf-8")
+    _write_report(payload, args.report)
+    if args.table:
+        args.table.write(convergence_csv(reports))
     return EXIT_OK
 
 
@@ -176,7 +190,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "kind": "circulant",
             **circulant_binormal_classify(circ).to_json(),
         }
-    _write_report(payload, args.out)
+    _write_report(payload, args.report)
     return EXIT_OK
 
 
@@ -191,7 +205,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         "dilated": circulant_to_json(image.circulant),
         "roundtrip_max_diff": back.max_coeff_diff((sym.dim * sym.dim) * sym),
     }
-    _write_report(payload, args.out)
+    _write_report(payload, args.report)
     return EXIT_OK
 
 
@@ -202,7 +216,7 @@ def cmd_probe_t41(args: argparse.Namespace) -> int:
         raise SymbolFormatError(f"probe-t41 requires a 2 x 2 symbol, got dim {sym.dim}")
     rep = theorem41_probe(sym, args.order[0], args.tolerance)
     payload = {"meta": _meta(args), **rep.to_json()}
-    _write_report(payload, args.out)
+    _write_report(payload, args.report)
     return EXIT_OK
 
 
@@ -220,7 +234,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "projectors": [r.to_json() for r in reports],
         "sum_to_identity_residual": float(np.linalg.norm(total - np.eye(order * circ.n))),
     }
-    _write_report(payload, args.out)
+    _write_report(payload, args.report)
     return EXIT_OK
 
 
@@ -232,8 +246,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
         f"suite: {sum(r.passed for r in result.results)} passed, "
         f"{sum(not r.passed for r in result.results)} failed\n"
     )
-    if args.out:
-        Path(args.out).write_text(render_json(result.to_json()) + "\n", encoding="utf-8")
+    if args.report:
+        _write_report(result.to_json(), args.report)
     return EXIT_OK if result.passed else EXIT_SUITE_FAILURE
 
 
@@ -245,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"toeplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, order=None, order_help=""):
+    def command(name, handler, summary, order=None, order_help="", out=str):
         """A subcommand on one input file, with --order (parsed by ``order``)
-        and --tolerance when ``order`` is given."""
+        and --tolerance when ``order`` is given, and --out parsed by ``out``."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--input", required=True, help="symbol or circulant JSON file")
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        p.add_argument("--out", type=out, help="write the JSON report here instead of stdout")
         if order is not None:
             p.add_argument("--order", type=order, default=[DEFAULT_ORDER],
                            help=f"{order_help} (default {DEFAULT_ORDER})")
@@ -261,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("diagonalize", cmd_diagonalize, "eigenvalue symbols and conjugation residual")
     p = command("check", cmd_check, "window-exact commutator verdicts over truncation orders",
-                _parse_orders, "comma-separated truncation orders")
+                _parse_orders, "comma-separated truncation orders", _parse_check_out)
     p.add_argument("--property", required=True, choices=PROPERTIES)
     command("classify", cmd_classify, "coefficient-level normality/binormality certificates")
     command("gamma", cmd_gamma, "flatten a matrix symbol into its dilated circulant")
@@ -280,7 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with ExitStack() as stack:
+            # outputs are opened before any work, so an unwritable one costs nothing
+            args.report = args.table = None
+            if args.out:
+                args.report = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+                if args.command == "check":
+                    args.table = stack.enter_context(
+                        open(_csv_path(args.out), "w", encoding="utf-8"))
+            return args.handler(args)
     except WindowError as exc:
         sys.stderr.write(f"toeplab: window error: {exc}\n")
         return EXIT_WINDOW
@@ -290,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except OSError as exc:
         # load_input turns an unreadable input into SymbolFormatError, so this
-        # is an --out that cannot be written
+        # is an output that cannot be opened
         sys.stderr.write(f"toeplab: cannot write report: {exc}\n")
         return EXIT_PARSE
 

@@ -14,10 +14,13 @@ products on a leading window:
 Each ``ToeplitzTruncation`` carries that accumulated bandwidth as ``margin``:
 fresh sections start at the symbol bandwidth, products add margins, sums and
 differences take the maximum, adjoints and the scalar entries of a block
-section (``entry``) keep it.  Reports read entries only from the exact
-window, so a nonzero entry there disproves an operator identity, while a
-clean window is reported as "no violation up to the window", never as a
-proof.
+section (``entry``) keep it.  The same rules make the margin a block-band
+bound of the section itself: block (i, j) is zero whenever |i - j| > margin.
+``@`` multiplies only inside its factors' bands, so the cost of a product
+grows linearly in N instead of as N^3; storage stays the dense
+(N d) x (N d) array.  Reports read entries only from the exact window, so a
+nonzero entry there disproves an operator identity, while a clean window is
+reported as "no violation up to the window", never as a proof.
 
 The margin is the only order policy: any order >= 1 builds a section, and
 ``window_max_abs`` raises ``WindowError`` exactly when a product's window is
@@ -52,7 +55,8 @@ class ToeplitzTruncation:
 
     Layout is coefficient-major: scalar row index = block index * d + component.
     ``margin`` is the accumulated bandwidth bound described in the module
-    docstring; entries with both indices below ``window_limit`` match the
+    docstring: blocks farther than ``margin`` from the diagonal are zero, and
+    entries with both indices below ``window_limit`` match the
     infinite-operator counterpart.
     """
 
@@ -94,12 +98,29 @@ class ToeplitzTruncation:
         return ToeplitzTruncation(self.order, self.block_dim, self.margin, self.data.conj().T)
 
     def __matmul__(self, other: "ToeplitzTruncation") -> "ToeplitzTruncation":
+        """Product of sections, multiplied only inside the factors' block bands.
+
+        Block (i, j) of a factor is zero for |i - j| > margin, so block row i
+        of the product reads block columns i - a .. i + a of ``self`` and
+        writes block columns i - a - b .. i + a + b (a, b the margins).  Rows
+        go in tiles of ``max(a + b, 8)`` blocks, at least 8 so that a small
+        section stays one BLAS call; a tile that spans the whole section is
+        exactly ``self.data @ other.data``.
+        """
         if not isinstance(other, ToeplitzTruncation):
             return NotImplemented
         self._combine_dims(other)
-        return ToeplitzTruncation(
-            self.order, self.block_dim, self.margin + other.margin, self.data @ other.data
-        )
+        n, d = self.order, self.block_dim
+        a, b = self.margin, other.margin
+        tile = max(a + b, 8)
+        out = np.zeros(self.data.shape, dtype=np.result_type(self.data, other.data))
+        for i0 in range(0, n, tile):
+            i1 = min(i0 + tile, n)
+            rows = slice(i0 * d, i1 * d)
+            mid = slice(max(i0 - a, 0) * d, min(i1 + a, n) * d)
+            cols = slice(max(i0 - a - b, 0) * d, min(i1 + a + b, n) * d)
+            out[rows, cols] = self.data[rows, mid] @ other.data[mid, cols]
+        return ToeplitzTruncation(n, d, a + b, out)
 
     def __add__(self, other: "ToeplitzTruncation") -> "ToeplitzTruncation":
         if not isinstance(other, ToeplitzTruncation):

@@ -203,3 +203,46 @@ def test_meta_records_only_the_options_the_command_takes(tmp_path, command, extr
         assert meta["tolerance"] == 1e-8
     assert set(meta) == keys
     assert meta["command"] == command and meta["input"] == path
+
+
+def test_check_refuses_an_out_that_is_its_own_csv_path(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "commutator_report", lambda *a: calls.append(a))
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--input", _write_input(tmp_path), "--property", "normal",
+                  "--order", "9", "--out", str(out)])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "CSV table" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("name,csv_name", [
+    ("r.json", "r.csv"),
+    ("r", "r.csv"),
+    ("r.txt.json", "r.txt.csv"),
+])
+def test_check_writes_the_json_report_and_the_csv_table_side_by_side(tmp_path, name, csv_name):
+    out = tmp_path / name
+    code = cli.main(["check", "--input", _write_input(tmp_path), "--property", "normal",
+                     "--order", "9,16", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert [r["order"] for r in json.loads(out.read_text(encoding="utf-8"))["reports"]] == [9, 16]
+    assert len((tmp_path / csv_name).read_text(encoding="utf-8").splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["check", "--property", "normal", "--order", "9"], "commutator_report"),
+    (["suite"], "run_suite"),
+])
+def test_an_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, argv, work):
+    if argv[0] != "suite":
+        argv = [*argv, "--input", _write_input(tmp_path)]
+    calls = []
+    real = getattr(cli, work)
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert cli.main([*argv, "--out", str(tmp_path / "missing" / "report.json")]) == cli.EXIT_PARSE
+    assert calls == []
+    if work == "commutator_report":  # the same run with a writable --out does the work once
+        assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == cli.EXIT_OK
+        assert len(calls) == 1

@@ -308,6 +308,88 @@ def test_entry_of_a_product_is_the_sum_of_entry_products():
 
 
 # ---------------------------------------------------------------------------
+# banded products: the margin bounds the block band that ``@`` reads
+
+
+def _banded(rng, dim, w):
+    """A dim x dim symbol of bandwidth exactly w, with a random support in [-w, w]."""
+    lags = {int(n) for n in rng.integers(-w, w + 1, size=3)} | {w if rng.random() < 0.5 else -w}
+    return MatrixSymbol(dim, {n: rng.standard_normal((dim, dim, 2)) @ [1, 1j] for n in lags})
+
+
+def _out_of_band_max(t):
+    """Largest |entry| of the blocks (i, j) of ``t`` with |i - j| > t.margin."""
+    n, d = t.order, t.block_dim
+    blocks = np.abs(t.data).reshape(n, d, n, d).max(axis=(1, 3))
+    i, j = np.indices((n, n))
+    return float(np.max(blocks[np.abs(i - j) > t.margin], initial=0.0))
+
+
+def _sections(x, y):
+    """Sections built from x and y by every operation, entries and products included."""
+    xs, d = x.adjoint(), x.block_dim
+    out = [x, y, xs, x + y, x - y, y - xs, x @ y, xs @ x, (x @ y) @ xs, (xs @ x) - (x @ xs)]
+    out += [x.entry(0, d - 1), x.entry(d - 1, 0) @ y.entry(0, 0), (x @ y).entry(d // 2, 0)]
+    return out
+
+
+def test_blocks_outside_the_margin_are_exactly_zero():
+    rng = np.random.default_rng(90)
+    for dim in (1, 2, 3, 8):
+        for wx in range(4):
+            for wy in range(4):
+                phi, psi = _banded(rng, dim, wx), _banded(rng, dim, wy)
+                assert (phi.bandwidth, psi.bandwidth) == (wx, wy)
+                for order in [*range(1, 4 * (wx + wy) + 6), 64]:
+                    for t in _sections(truncate(phi, order), truncate(psi, order)):
+                        assert _out_of_band_max(t) == 0.0, (dim, wx, wy, order, t.margin)
+
+
+def _assert_product_matches_dense(x, y):
+    p = x @ y
+    dense = x.data @ y.data
+    scale = float(np.max(np.abs(x.data) @ np.abs(y.data), initial=0.0))
+    assert p.margin == x.margin + y.margin
+    assert p.data.shape == dense.shape
+    assert np.max(np.abs(p.data - dense), initial=0.0) <= 1e-12 * scale
+
+
+def test_banded_product_matches_the_dense_product():
+    rng = np.random.default_rng(91)
+    for dim in (1, 2, 3, 8):
+        for order in (1, 5, 9, 17, 33, 64):
+            for wx, wy in ((0, 3), (1, 2), (3, 0), (2, 2), (3, 3)):
+                x = truncate(_banded(rng, dim, wx), order)
+                y = truncate(_banded(rng, dim, wy), order)
+                xs = x.adjoint()
+                for a, b in ((x, y), (y, x), (xs, x), (x, xs), (x @ y, xs), (xs @ x, x @ xs)):
+                    _assert_product_matches_dense(a, b)
+                for a in range(dim):
+                    for b in range(dim):
+                        _assert_product_matches_dense(x.entry(a, b), y.entry(b, a))
+                        _assert_product_matches_dense((x @ xs).entry(a, b), xs.entry(b, a))
+    # the f-selfadjoint chain, shift included
+    for order in (6, 13, 40, 64):
+        t = truncate(rand_scalar(rng, 3), order)
+        s, ts = truncate(Z, order), t.adjoint()
+        ab = (ts @ t) @ (t @ ts)
+        for a, b in ((ts, t), (t, ts), (ts @ t, t @ ts), (s.adjoint(), ab), (s.adjoint() @ ab, s)):
+            _assert_product_matches_dense(a, b)
+
+
+def test_a_product_in_one_tile_is_the_dense_product_bitwise():
+    # a section of at most 8 blocks, or of at most a + b blocks, is one tile
+    rng = np.random.default_rng(92)
+    for dim in (1, 2, 3):
+        for wx, wy in ((0, 0), (1, 2), (3, 3), (4, 5)):
+            for order in range(1, max(wx + wy, 8) + 1):
+                x = truncate(_banded(rng, dim, wx), order)
+                y = truncate(_banded(rng, dim, wy), order)
+                for a, b in ((x, y), (x.adjoint(), y), (x.entry(0, dim - 1), y.entry(dim - 1, 0))):
+                    assert np.array_equal((a @ b).data, a.data @ b.data)
+
+
+# ---------------------------------------------------------------------------
 # conjugation identity
 
 
