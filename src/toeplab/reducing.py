@@ -93,6 +93,8 @@ def reducing_projectors(c: CirculantSymbol, order: int) -> list[OrthogonalProjec
     projector; each has rank N, they are mutually orthogonal, sum to the
     identity, and commute with the truncation of the circulant symbol.
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
     u = dft_unitary(c.n)
     eye = np.eye(order)
     return [OrthogonalProjector(np.kron(eye, np.outer(col, col.conj()))) for col in u.T]

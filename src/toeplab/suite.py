@@ -304,11 +304,11 @@ def criterion_known_fixtures(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     rep = commutator_report(z + z.conj_reflect(), "normal", NUMERIC_ORDER, NUMERIC_TOL)
     checks["z_plus_zbar_normal"] = rep.verdict == VERDICT_CLEAN
 
-    ex_a = special_case_checks([zero, zero, one + z, zero], "ex54a", NUMERIC_ORDER, NUMERIC_TOL)
+    ex_a = special_case_checks([zero, zero, one + z, zero], "ex54a", NUMERIC_TOL)
     checks["lower_corner_binormal"] = ex_a["binormal_report"]["verdict"] == VERDICT_CLEAN
     checks["lower_corner_not_normal"] = ex_a["normal_report"]["verdict"] == VERDICT_VIOLATED
 
-    ex_b = special_case_checks([zero, one, z, zero], "ex54b", NUMERIC_ORDER, NUMERIC_TOL)
+    ex_b = special_case_checks([zero, one, z, zero], "ex54b", NUMERIC_TOL)
     checks["antidiagonal_binormal"] = ex_b["binormal_report"]["verdict"] == VERDICT_CLEAN
 
     elapsed = time.perf_counter() - start
@@ -362,7 +362,7 @@ def criterion_condition_system(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
             pairs = [(random_coeff(rng), random_coeff(rng)) for _ in range(4)]
             families.append(commuting_normal_family(f, pairs))
     for i, phis in enumerate(families):
-        rep = block2_condition_system(phis, NUMERIC_ORDER, NUMERIC_TOL)
+        rep = block2_condition_system(phis, NUMERIC_TOL)
         if not rep.binormal_consistent:
             inconsistent.append(i)
 
@@ -372,7 +372,7 @@ def criterion_condition_system(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
                                            (random_coeff(rng), random_coeff(rng))])
         zero = ScalarSymbol.zero()
         for tag, phis in (("offdiag", [zero, a, b, zero]), ("diag", [a, zero, zero, b])):
-            rep = block2_condition_system(phis, NUMERIC_ORDER, NUMERIC_TOL)
+            rep = block2_condition_system(phis, NUMERIC_TOL)
             if rep.system_a != (0.0, 0.0, 0.0) or rep.binormal_report.verdict != VERDICT_CLEAN:
                 corner_failures.append({"f_index": i, "shape": tag})
     elapsed = time.perf_counter() - start
@@ -385,7 +385,6 @@ def criterion_condition_system(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
             "families": len(families),
             "inconsistent": inconsistent,
             "corner_failures": corner_failures,
-            "order": NUMERIC_ORDER,
             "tolerance": NUMERIC_TOL,
         },
         elapsed,

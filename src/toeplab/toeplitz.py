@@ -19,8 +19,13 @@ bound of the section itself: block (i, j) is zero whenever |i - j| > margin.
 ``@`` multiplies only inside its factors' bands, so the cost of a product
 grows linearly in N instead of as N^3; storage stays the dense
 (N d) x (N d) array.  Reports read entries only from the exact window, so a
-nonzero entry there disproves an operator identity, while a clean window is
-reported as "no violation up to the window", never as a proof.
+nonzero entry there disproves an operator identity.  From order 2W + 1 on, a
+clean window of a product of margin W proves it: by T(a) T(b) = T(ab) -
+H(a) H(b~) (Boettcher-Silbermann) the infinite product is T(sigma) + K, sigma
+of bandwidth <= W and K in the first W x W blocks (each factor of margin w_i
+widens the Hankel corner by at most w_i).  A window of W + 1 blocks holds all
+of K and every lag n of sigma outside it, at block (W, W - n) for n >= 0 and
+(W + n, W) for n < 0, so its largest entry is that of the infinite operator.
 
 The margin is the only order policy: any order >= 1 builds a section, and
 ``window_max_abs`` raises ``WindowError`` exactly when a product's window is
@@ -142,8 +147,9 @@ class ToeplitzTruncation:
         """Read this product's window as the report for ``property``.
 
         ``violated`` certifies the identity fails (a window entry is a true
-        entry of the infinite operator); the clean verdict is only a bound up
-        to the window, never a proof.  An empty window raises ``WindowError``.
+        entry of the infinite operator); the clean verdict proves it holds
+        from order 2 * margin + 1 on (module docstring), and only bounds the
+        window below that.  An empty window raises ``WindowError``.
         """
         norm = self.window_max_abs()
         return CommutatorReport(

@@ -62,6 +62,12 @@ def test_projector_ranks_and_invariants():
         assert p.is_valid()
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_projectors_reject_orders_below_one(order):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        reducing_projectors(rand_circulant(np.random.default_rng(50), 2), order)
+
+
 def test_projectors_resolve_the_identity():
     rng = np.random.default_rng(52)
     for n in (2, 3, 5):

@@ -181,6 +181,25 @@ def test_windows_just_above_the_margin_match_a_large_order():
                     assert np.max(np.abs(k.window_view() - ref[:lim, :lim])) <= 1e-12
 
 
+def test_window_at_twice_the_margin_plus_one_is_the_whole_operator():
+    # at order 2W + 1 the window holds the finite-rank corner and every lag of
+    # the infinite product, so a larger order finds no larger entry
+    rng = np.random.default_rng(30)
+    smaller = 0
+    for d in (1, 2, 3):
+        for w in (1, 2):
+            for _ in range(10):
+                phi = rand_scalar(rng, w) if d == 1 else rand_matrix(rng, d, w)
+                for prop in ("normal", "quasinormal", "binormal"):
+                    margin = MARGINS[prop](phi.bandwidth)
+                    exact = commutator_matrix(phi, prop, 2 * margin + 1).window_max_abs()
+                    assert exact == commutator_matrix(phi, prop, 2 * margin + 9).window_max_abs()
+                    if margin:
+                        short = commutator_matrix(phi, prop, 2 * margin).window_max_abs()
+                        smaller += short < exact
+    assert smaller  # order 2W can miss the largest entry
+
+
 def test_report_window_limit_reflects_margin():
     rep = commutator_report(Z + ZBAR, "quasinormal", 32, 1e-8)
     assert rep.window_limit == 32 - 3 * 1
