@@ -2,7 +2,7 @@
 
 The package turns operator identities (normality, quasinormality,
 binormality, diagonalization of circulant symbols, reducing subspaces) into
-finite, window-exact computations on dense truncations, paired with exact
+finite, window-exact computations on banded finite sections, paired with exact
 coefficient-level classifiers for polynomial symbols.
 """
 

@@ -7,7 +7,9 @@ One subcommand per claim family, each taking only the options it reads:
   ``--tolerance``;
 * ``probe-t41`` and ``reduce``: also ``--order`` (exactly one order >= 1; a
   list exits 2) and ``--tolerance``;
-* ``suite``: ``--seed`` and ``--out``.
+* ``suite``: ``--seed`` and ``--out``; the report at ``--out`` also records
+  the ``environment`` (numpy and BLAS versions, BLAS thread variables, CPU
+  count) that its timings depend on.
 
 Reports are JSON on stdout or at ``--out``; ``check`` additionally writes a
 CSV convergence table next to ``--out``, at ``--out`` with the suffix
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -67,6 +70,9 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_WINDOW = 3
+
+# the variables that set the BLAS thread count, recorded in suite reports
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # criterion 9's committed gap data, at the root of the checkout that holds src/toeplab
 REFERENCE_PATH = Path(__file__).resolve().parents[2] / "reference" / "theorem41_gaps.json"
@@ -238,6 +244,18 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _environment() -> dict:
+    """What the suite's timings depend on: numpy, its BLAS, the BLAS thread
+    variables as set (null when unset) and the CPU count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def cmd_suite(args: argparse.Namespace) -> int:
     result = run_suite(seed=args.seed, reference_path=str(REFERENCE_PATH))
     for r in result.results:
@@ -247,7 +265,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         f"{sum(not r.passed for r in result.results)} failed\n"
     )
     if args.report:
-        _write_report(result.to_json(), args.report)
+        _write_report({**result.to_json(), "environment": _environment()}, args.report)
     return EXIT_OK if result.passed else EXIT_SUITE_FAILURE
 
 

@@ -121,16 +121,16 @@ def theorem41_probe(
     big = truncate(gamma(phi).circulant.as_matrix_symbol(), order)
     sel = np.array([b * 4 + c for b in range(order) for c in (0, 1)])
     compression = big.data[np.ix_(sel, sel)]
-    t_psi = truncate(psi11, order)
-    t_lam = truncate(lam11, order)
-    compression_exact = bool(np.array_equal(compression, t_psi.data))
+    t_psi = truncate(psi11, order).data
+    t_lam = truncate(lam11, order).data
+    compression_exact = bool(np.array_equal(compression, t_psi))
 
-    sv_psi = np.linalg.svd(t_psi.data, compute_uv=False)
-    sv_lam = np.linalg.svd(t_lam.data, compute_uv=False)
+    sv_psi = np.linalg.svd(t_psi, compute_uv=False)
+    sv_lam = np.linalg.svd(t_lam, compute_uv=False)
     max_gap = float(np.max(np.abs(sv_psi - sv_lam)))
 
     v = np.kron(np.eye(order), dft_unitary(2))
-    conj_resid = float(np.linalg.norm(v @ t_lam.data @ v.conj().T - t_psi.data))
+    conj_resid = float(np.linalg.norm(v @ t_lam @ v.conj().T - t_psi))
 
     verdict = "consistent" if max_gap <= tolerance else "inconsistent"
     return EquivalenceReport(

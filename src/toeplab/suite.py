@@ -294,11 +294,12 @@ def criterion_known_fixtures(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     k = commutator_matrix(one + z, "binormal", NUMERIC_ORDER)
     rep = k.report("binormal", NUMERIC_TOL)
     checks["one_plus_z_violated"] = rep.verdict == VERDICT_VIOLATED
+    kd = k.data
     checks["one_plus_z_exact_entries"] = bool(
-        k.data[0, 1] == 1.0 + 0.0j
-        and k.data[1, 0] == -1.0 + 0.0j
-        and abs(k.data[0, 0]) == 0.0
-        and abs(k.data[1, 1]) == 0.0
+        kd[0, 1] == 1.0 + 0.0j
+        and kd[1, 0] == -1.0 + 0.0j
+        and abs(kd[0, 0]) == 0.0
+        and abs(kd[1, 1]) == 0.0
     )
 
     rep = commutator_report(z + z.conj_reflect(), "normal", NUMERIC_ORDER, NUMERIC_TOL)

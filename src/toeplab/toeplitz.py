@@ -16,10 +16,15 @@ fresh sections start at the symbol bandwidth, products add margins, sums and
 differences take the maximum, adjoints and the scalar entries of a block
 section (``entry``) keep it.  The same rules make the margin a block-band
 bound of the section itself: block (i, j) is zero whenever |i - j| > margin.
-``@`` multiplies only inside its factors' bands, so the cost of a product
-grows linearly in N instead of as N^3; storage stays the dense
-(N d) x (N d) array.  Reports read entries only from the exact window, so a
-nonzero entry there disproves an operator identity.  From order 2W + 1 on, a
+So a section is stored as block-row strips: row i keeps only block columns
+i - margin .. i + margin, and memory is O(N d^2 margin), not the (N d)^2 of
+the dense matrix, which ``data`` builds on demand for the callers that need
+one.  Truncation, adjoints, sums and window reductions walk the strips, and
+``@`` multiplies only inside its factors' bands, so every step costs time
+linear in N, set by the bandwidths and d.
+
+Reports read entries only from the exact window, so a nonzero entry there
+disproves an operator identity.  From order 2W + 1 on, a
 clean window of a product of margin W proves it: by T(a) T(b) = T(ab) -
 H(a) H(b~) (Boettcher-Silbermann) the infinite product is T(sigma) + K, sigma
 of bandwidth <= W and K in the first W x W blocks (each factor of margin w_i
@@ -54,24 +59,69 @@ class WindowError(ValueError):
     """Truncation order too small for the requested window-exact computation."""
 
 
+# Interior tiles of a product are multiplied in stacks of at most this many
+# bytes (both factors' tiles and the products), so the temporaries of ``@``
+# stay small next to the sections themselves.
+_STACK_BYTES = 1 << 22
+
+
+def _band(order: int, margin: int) -> int:
+    """Block diagonals a section stores: those of its margin that meet the section."""
+    return min(margin, order - 1)
+
+
+def _skew(dense: np.ndarray, d: int, w: int) -> np.ndarray:
+    """View of the C-contiguous dense block rows ``dense`` (..., R d, W) whose
+    block row r starts at column block r: the strips (..., R, d, w) inside
+    them, for W >= (R - 1) d + w."""
+    *lead, rows, width = dense.shape
+    item = dense.itemsize
+    strides = (*dense.strides[:-2], (d * width + d) * item, width * item, item)
+    return np.ndarray((*lead, rows // d, d, w), dense.dtype, dense, 0, strides)
+
+
+def _dense_rows(strips: np.ndarray) -> np.ndarray:
+    """Strips (..., R, d, w) as dense block rows (..., R d, (R - 1) d + w),
+    zero outside the strips."""
+    *lead, rows, d, w = strips.shape
+    dense = np.zeros((*lead, rows * d, (rows - 1) * d + w), dtype=strips.dtype)
+    _skew(dense, d, w)[...] = strips
+    return dense
+
+
 @dataclass(frozen=True)
 class ToeplitzTruncation:
-    """Dense (N d) x (N d) finite section with window bookkeeping.
+    """(N d) x (N d) finite section, stored as block-row strips, with window
+    bookkeeping.
 
     Layout is coefficient-major: scalar row index = block index * d + component.
     ``margin`` is the accumulated bandwidth bound described in the module
     docstring: blocks farther than ``margin`` from the diagonal are zero, and
     entries with both indices below ``window_limit`` match the
-    infinite-operator counterpart.
+    infinite-operator counterpart.  ``strips`` has shape (N, d, (2 b + 1) d),
+    b = min(margin, N - 1) the stored band: row i holds block columns i - b ..
+    i + b, and the parts outside the section stay zero; it is C-contiguous,
+    so that ``@`` can view overlapping row ranges of it.  ``data`` is the
+    dense matrix, built on demand for callers that need one.
     """
 
     order: int
     block_dim: int
     margin: int
-    data: np.ndarray = field(repr=False)
+    strips: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.data.setflags(write=False)
+        self.strips.setflags(write=False)
+
+    @property
+    def band(self) -> int:
+        return _band(self.order, self.margin)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense (N d) x (N d) section, a new array on every call."""
+        n, b, d = self.order, self.band, self.block_dim
+        return _dense_rows(self.strips)[:, b * d:(b + n) * d].copy()
 
     @property
     def window_limit(self) -> int:
@@ -82,25 +132,43 @@ class ToeplitzTruncation:
         return self.data[:lim, :lim]
 
     def window_max_abs(self) -> float:
-        view = self.window_view()
-        if view.size == 0:
+        """Largest |entry| of the window, read from the band inside it."""
+        lim, b, d = self.order - self.margin, self.band, self.block_dim
+        if lim <= 0:
             raise WindowError(
                 f"empty exact window: order {self.order} <= accumulated margin {self.margin}"
             )
-        return float(np.max(np.abs(view)))
+        # rows below lim - b hold their whole strip inside the window; row i
+        # keeps the strip entries q < (lim - i + b) d, its block columns below lim
+        full = max(lim - b, 0)
+        head = np.abs(self.strips[:full]).max(initial=0.0)
+        tail = np.abs(self.strips[full:lim]).max(axis=1)
+        keep = np.arange(self.strips.shape[2]) < ((lim + b - np.arange(full, lim)) * d)[:, None]
+        return float(max(head, tail[keep].max(initial=0.0)))
 
     def entry(self, a: int, b: int) -> "ToeplitzTruncation":
         """Entry (a, b) of every block, as a scalar section with the block's
         margin, which bounds the entry's own, so its window stays exact."""
         d = self.block_dim
-        return ToeplitzTruncation(self.order, 1, self.margin, self.data[a::d, b::d])
+        strips = np.ascontiguousarray(self.strips[:, a:a + 1, b::d])
+        return ToeplitzTruncation(self.order, 1, self.margin, strips)
 
     def _combine_dims(self, other: "ToeplitzTruncation") -> None:
         if self.order != other.order or self.block_dim != other.block_dim:
             raise ValueError("truncations must share order and block dimension")
 
     def adjoint(self) -> "ToeplitzTruncation":
-        return ToeplitzTruncation(self.order, self.block_dim, self.margin, self.data.conj().T)
+        n, d, b = self.order, self.block_dim, self.band
+        # block (i, i - b + k) of the adjoint is block (i - b + k, i) conjugated
+        # and transposed: strip position 2 b - k of row i - b + k, read from
+        # strips padded with b zero rows on each side
+        padded = np.zeros((n + 2 * b, d, 2 * b + 1, d), dtype=complex)
+        padded[b:b + n] = self.strips.reshape(n, d, 2 * b + 1, d)
+        row, comp, pos, item = padded.strides
+        mirrored = np.ndarray((n, 2 * b + 1, d, d), complex, padded, 2 * b * pos,
+                              (row, row - pos, comp, item))
+        strips = np.ascontiguousarray(mirrored.conj().transpose(0, 3, 1, 2)).reshape(n, d, -1)
+        return ToeplitzTruncation(n, d, self.margin, strips)
 
     def __matmul__(self, other: "ToeplitzTruncation") -> "ToeplitzTruncation":
         """Product of sections, multiplied only inside the factors' block bands.
@@ -110,7 +178,11 @@ class ToeplitzTruncation:
         writes block columns i - a - b .. i + a + b (a, b the margins).  Rows
         go in tiles of ``max(a + b, 8)`` blocks, at least 8 so that a small
         section stays one BLAS call; a tile that spans the whole section is
-        exactly ``self.data @ other.data``.
+        exactly ``self.data @ other.data``.  Each tile is the dense product
+        of the factors' blocks (tile rows x ``mid``) and (``mid`` x ``cols``),
+        clipped to the section.  Interior tiles, where nothing is clipped,
+        all have one shape: they are gathered from the strips with one
+        strided copy and multiplied as a stack.
         """
         if not isinstance(other, ToeplitzTruncation):
             return NotImplemented
@@ -118,30 +190,69 @@ class ToeplitzTruncation:
         n, d = self.order, self.block_dim
         a, b = self.margin, other.margin
         tile = max(a + b, 8)
-        out = np.zeros(self.data.shape, dtype=np.result_type(self.data, other.data))
-        for i0 in range(0, n, tile):
-            i1 = min(i0 + tile, n)
-            rows = slice(i0 * d, i1 * d)
-            mid = slice(max(i0 - a, 0) * d, min(i1 + a, n) * d)
-            cols = slice(max(i0 - a - b, 0) * d, min(i1 + a + b, n) * d)
-            out[rows, cols] = self.data[rows, mid] @ other.data[mid, cols]
+        band = _band(n, a + b)
+        width = (2 * band + 1) * d
+        out = np.zeros((n, d, width), dtype=complex)
+
+        # tiles first .. stop - 1 are interior: there a, b and a + b are also
+        # the stored bands, and the dense rows of a strip stack are the tiles
+        first, stop = (1 if a + b else 0), (n - a - b) // tile
+        mid, cols = tile + 2 * a, tile + 2 * a + 2 * b
+        tile_bytes = out.itemsize * d * d * (tile * mid + mid * cols + tile * cols)
+        stack = max(_STACK_BYTES // tile_bytes, 1)
+        step = other.strips.strides[0]
+        for k0 in range(first, stop, stack):
+            k1 = min(k0 + stack, stop)
+            i0, i1 = k0 * tile, k1 * tile
+            lhs = self.strips[i0:i1].reshape(k1 - k0, tile, d, -1)
+            # the mid rows of consecutive tiles overlap: one strided view of them
+            rhs = np.ndarray((k1 - k0, mid, *other.strips.shape[1:]), complex, other.strips,
+                             (i0 - a) * step, (tile * step, *other.strips.strides))
+            prod = _dense_rows(lhs) @ _dense_rows(rhs)
+            out[i0:i1].reshape(k1 - k0, tile, d, width)[...] = _skew(prod, d, width)
+
+        # the clipped tiles, at most one at the top and two at the bottom: each
+        # group of them gathers its factors' dense rows once
+        ba, bb = self.band, other.band
+        for g0, g1 in [(0, first * tile), (stop * tile, n)] if first < stop else [(0, n)]:
+            if g0 == g1:
+                continue
+            h0, h1 = max(g0 - a, 0), min(g1 + a, n)
+            # dense rows of strips r0 .. r1 start at block column r0 - (stored band)
+            lhs, rhs = _dense_rows(self.strips[g0:g1]), _dense_rows(other.strips[h0:h1])
+            prod = np.zeros(((g1 - g0) * d, (g1 - g0 - 1) * d + width), dtype=complex)
+            for i0 in range(g0, g1, tile):
+                i1 = min(i0 + tile, n)
+                m0, m1 = max(i0 - a, 0), min(i1 + a, n)
+                c0, c1 = max(i0 - a - b, 0), min(i1 + a + b, n)
+                prod[(i0 - g0) * d:(i1 - g0) * d, (c0 - g0 + band) * d:(c1 - g0 + band) * d] = (
+                    lhs[(i0 - g0) * d:(i1 - g0) * d, (m0 - g0 + ba) * d:(m1 - g0 + ba) * d]
+                    @ rhs[(m0 - h0) * d:(m1 - h0) * d, (c0 - h0 + bb) * d:(c1 - h0 + bb) * d]
+                )
+            out[g0:g1] = _skew(prod, d, width)
         return ToeplitzTruncation(n, d, a + b, out)
+
+    def _widened(self, band: int) -> np.ndarray:
+        """The strips with the stored band widened to ``band`` by zeros."""
+        pad = (band - self.band) * self.block_dim
+        return self.strips if pad == 0 else np.pad(self.strips, ((0, 0), (0, 0), (pad, pad)))
+
+    def _combine(self, other: "ToeplitzTruncation", op) -> "ToeplitzTruncation":
+        self._combine_dims(other)
+        margin = max(self.margin, other.margin)
+        band = _band(self.order, margin)
+        strips = op(self._widened(band), other._widened(band))
+        return ToeplitzTruncation(self.order, self.block_dim, margin, strips)
 
     def __add__(self, other: "ToeplitzTruncation") -> "ToeplitzTruncation":
         if not isinstance(other, ToeplitzTruncation):
             return NotImplemented
-        self._combine_dims(other)
-        return ToeplitzTruncation(
-            self.order, self.block_dim, max(self.margin, other.margin), self.data + other.data
-        )
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "ToeplitzTruncation") -> "ToeplitzTruncation":
         if not isinstance(other, ToeplitzTruncation):
             return NotImplemented
-        self._combine_dims(other)
-        return ToeplitzTruncation(
-            self.order, self.block_dim, max(self.margin, other.margin), self.data - other.data
-        )
+        return self._combine(other, np.subtract)
 
     def report(self, property: str, tolerance: float) -> "CommutatorReport":
         """Read this product's window as the report for ``property``.
@@ -174,13 +285,13 @@ def truncate(symbol: MatrixSymbol | ScalarSymbol, order: int) -> ToeplitzTruncat
     phi = symbol.as_matrix() if isinstance(symbol, ScalarSymbol) else symbol
     w = phi.bandwidth
     d = phi.dim
-    data = np.zeros((order * d, order * d), dtype=complex)
+    band = _band(order, w)
+    strips = np.zeros((order, d, 2 * band + 1, d), dtype=complex)
     for n, mat in phi.items():
-        # coefficient n sits on block diagonal i - j = n
-        for i in range(max(n, 0), min(order, order + n)):
-            j = i - n
-            data[i * d:(i + 1) * d, j * d:(j + 1) * d] = mat
-    return ToeplitzTruncation(order=order, block_dim=d, margin=w, data=data)
+        # coefficient n sits on block diagonal i - j = n, strip position band - n
+        if abs(n) <= band:
+            strips[max(n, 0):min(order, order + n), :, band - n, :] = mat
+    return ToeplitzTruncation(order=order, block_dim=d, margin=w, strips=strips.reshape(order, d, -1))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
 from toeplab import cli
@@ -72,6 +74,33 @@ def test_suite_writes_its_report(tmp_path):
     dilation = report["criteria"][8]
     assert dilation["id"] == 9
     assert dilation["details"]["reference_matches"] is True
+
+
+def test_suite_report_records_its_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "suite.json"
+    assert cli.main(["suite", "--out", str(out)]) == cli.EXIT_OK
+    env = json.loads(out.read_text(encoding="utf-8"))["environment"]
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+    assert set(env["blas_threads"]) == set(cli.BLAS_THREAD_VARIABLES)
+    assert env["cpu_count"] == os.cpu_count()
+
+
+def test_check_runs_an_8x8_circulant_at_order_1024(tmp_path):
+    # one dense section would take 1 GB here; the strips take a few MB each
+    rng = np.random.default_rng(95)
+    row = [{"dim": 1, "coeffs": {str(n): [[[float(x), float(y)]]]
+                                 for n, (x, y) in zip((-1, 0, 2), rng.standard_normal((3, 2)))}}
+           for _ in range(8)]
+    circ = _write_input(tmp_path, {"circulant": 8, "row": row}, "circ8.json")
+    code, report = _run(tmp_path, "check", "--input", circ, "--property", "binormal",
+                        "--order", "1024")
+    assert code == cli.EXIT_OK
+    assert report["reports"][0]["window_limit"] == (1024 - 4 * 2) * 8
 
 
 def test_diagonalize_reports(tmp_path):

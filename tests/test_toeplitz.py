@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from toeplab.circulant import (
     dft_unitary,
 )
 from toeplab.classify import inner_multiple_test
+from toeplab import toeplitz
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
 from toeplab.toeplitz import (
     VERDICT_CLEAN,
@@ -406,6 +409,83 @@ def test_a_product_in_one_tile_is_the_dense_product_bitwise():
                 y = truncate(_banded(rng, dim, wy), order)
                 for a, b in ((x, y), (x.adjoint(), y), (x.entry(0, dim - 1), y.entry(dim - 1, 0))):
                     assert np.array_equal((a @ b).data, a.data @ b.data)
+
+
+def _dense_tiled_product(x, y):
+    """Reference for ``x @ y`` on the dense sections: tiles of max(a + b, 8)
+    block rows, each the product of the factors' blocks inside their bands."""
+    n, d = x.order, x.block_dim
+    a, b = x.margin, y.margin
+    xd, yd = x.data, y.data
+    tile = max(a + b, 8)
+    out = np.zeros(xd.shape, dtype=complex)
+    for i0 in range(0, n, tile):
+        i1 = min(i0 + tile, n)
+        rows = slice(i0 * d, i1 * d)
+        mid = slice(max(i0 - a, 0) * d, min(i1 + a, n) * d)
+        cols = slice(max(i0 - a - b, 0) * d, min(i1 + a + b, n) * d)
+        out[rows, cols] = xd[rows, mid] @ yd[mid, cols]
+    return out
+
+
+def _assert_strips_zero_outside_the_section(t):
+    """Strip position k of row i is block column i - band + k; those outside
+    0 .. N - 1 hold zeros."""
+    n, d, b = t.order, t.block_dim, t.band
+    assert t.strips.shape == (n, d, (2 * b + 1) * d)
+    j = np.arange(n)[:, None] - b + np.arange(2 * b + 1)[None, :]
+    blocks = np.abs(t.strips).reshape(n, d, 2 * b + 1, d).max(axis=(1, 3))
+    assert np.max(blocks[(j < 0) | (j >= n)], initial=0.0) == 0.0
+
+
+def _assert_matches_the_dense_oracle(x, y):
+    xd, yd = x.data, y.data
+    assert np.array_equal((x @ y).data, _dense_tiled_product(x, y))
+    assert np.array_equal(x.adjoint().data, xd.conj().T)
+    assert np.array_equal((x + y).data, xd + yd)
+    assert np.array_equal((x - y).data, xd - yd)
+    for t in (x, y, x @ y, x.adjoint(), x - y):
+        _assert_strips_zero_outside_the_section(t)
+        if t.window_limit:
+            lim = t.window_limit
+            assert t.window_max_abs() == float(np.max(np.abs(t.data[:lim, :lim])))
+    d = x.block_dim
+    for a, b in {(0, 0), (0, d - 1), (d - 1, d // 2)}:
+        assert np.array_equal(x.entry(a, b).data, xd[a::d, b::d])
+
+
+@pytest.mark.parametrize("stack_bytes", [1, toeplitz._STACK_BYTES], ids=["one-tile", "default"])
+def test_strip_operations_are_the_dense_operations_bitwise(monkeypatch, stack_bytes):
+    # orders of at least 4 tiles, so most tiles are interior and go through the
+    # stacked route; one tile per stack at stack_bytes = 1
+    monkeypatch.setattr(toeplitz, "_STACK_BYTES", stack_bytes)
+    rng = np.random.default_rng(93)
+    for dim in (1, 2, 3, 8):
+        for wx, wy in ((0, 0), (0, 3), (1, 2), (3, 1), (2, 2), (3, 3)):
+            for order in (4 * max(wx + wy, 8) + 3, 72):
+                x = truncate(_banded(rng, dim, wx), order)
+                y = truncate(_banded(rng, dim, wy), order)
+                xs = x.adjoint()
+                for a, b in ((x, y), (xs, x), (x @ xs, y), (x @ y, xs @ x)):
+                    _assert_matches_the_dense_oracle(a, b)
+                e, f = x.entry(dim - 1, 0), (y @ xs).entry(0, dim // 2)
+                _assert_matches_the_dense_oracle(e, f)
+                _assert_matches_the_dense_oracle(f @ e, e.adjoint())
+
+
+def test_a_product_keeps_its_section_small():
+    # one dense d = 8 section at N = 1024 takes (8192^2) * 16 bytes = 1,074 MB;
+    # the seven strip sections of the binormal check take about 120 MB
+    rng = np.random.default_rng(94)
+    phi = MatrixSymbol(8, {n: rng.standard_normal((8, 8, 2)) @ [1, 1j] for n in range(-3, 4)})
+    tracemalloc.start()
+    try:
+        rep = commutator_report(phi, "binormal", 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.window_limit == (1024 - 12) * 8
+    assert peak < 268e6
 
 
 # ---------------------------------------------------------------------------
