@@ -37,7 +37,7 @@ from .reducing import (
     reducing_projectors,
     verify_reducing,
 )
-from .symbols import MatrixSymbol, ScalarSymbol, unit_samples
+from .symbols import MatrixSymbol, ScalarSymbol
 from .toeplitz import (
     CommutatorReport,
     ToeplitzTruncation,
@@ -84,6 +84,5 @@ __all__ = [
     "special_case_checks",
     "theorem41_probe",
     "truncate",
-    "unit_samples",
     "verify_reducing",
 ]

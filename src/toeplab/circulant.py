@@ -1,10 +1,11 @@
-"""Circulant matrix symbols and their pointwise diagonalization.
+"""Circulant matrix symbols and their coefficientwise diagonalization.
 
-A circulant symbol is an n x n matrix symbol whose matrix view at every
-point of the circle is circ(row[0](z), ..., row[n-1](z)), i.e. entry (i, j)
-equals row[(j - i) mod n].  All such matrices share the eigenvector basis
-given by the discrete Fourier columns, so the symbol is unitarily equivalent
-to a diagonal symbol whose entries are coefficientwise DFTs of the row.
+A circulant symbol is an n x n matrix symbol whose coefficient at every lag
+is a circulant matrix: entry (i, j) of the symbol is row[(j - i) mod n].  All
+circulant matrices share the eigenvector basis given by the discrete Fourier
+columns U, so U* Phi_n U = Lambda_n holds lag by lag, with Lambda the
+diagonal symbol whose entries are coefficientwise DFTs of the row.  That
+identity between coefficients is how the diagonalization is checked.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symbols import MatrixSymbol, ScalarSymbol, unit_samples
+from .symbols import MatrixSymbol, ScalarSymbol
 
 
 class CirculantPatternError(ValueError):
@@ -72,11 +73,6 @@ class CirculantSymbol:
         grid = [[self._row[(j - i) % n] for j in range(n)] for i in range(n)]
         return MatrixSymbol.from_entries(grid)
 
-    def __call__(self, z: complex) -> np.ndarray:
-        vals = [phi(z) for phi in self._row]
-        n = self._n
-        return np.array([[vals[(j - i) % n] for j in range(n)] for i in range(n)])
-
     def __add__(self, other: "CirculantSymbol") -> "CirculantSymbol":
         if not isinstance(other, CirculantSymbol):
             return NotImplemented
@@ -117,9 +113,6 @@ class DiagonalSymbol:
         grid = [[self._lambdas[i] if i == j else zero for j in range(n)] for i in range(n)]
         return MatrixSymbol.from_entries(grid)
 
-    def __call__(self, z: complex) -> np.ndarray:
-        return np.diag([lam(z) for lam in self._lambdas])
-
     def __repr__(self) -> str:
         return f"DiagonalSymbol(n={self.n})"
 
@@ -140,15 +133,28 @@ def circulant_eigen_symbols(c: CirculantSymbol) -> DiagonalSymbol:
     return DiagonalSymbol(lambdas)
 
 
-def diagonalize_check(c: CirculantSymbol) -> float:
-    """Max of ||U* C(z) U - Lambda(z)||_F over the 17 points of ``unit_samples``."""
+def conjugation_blocks(c: CirculantSymbol, phi: MatrixSymbol) -> tuple[list[int], np.ndarray]:
+    """The lags n of ``phi``, the matrix symbol of ``c``, and of its eigen
+    symbols, in increasing order, with the blocks U* Phi_n U - Lambda_n
+    stacked in the same order, shape (lags, n, n)."""
+    lam = circulant_eigen_symbols(c).as_matrix_symbol()
     u = dft_unitary(c.n)
-    lam = circulant_eigen_symbols(c)
-    worst = 0.0
-    for z in unit_samples():
-        resid = np.linalg.norm(u.conj().T @ c(z) @ u - lam(z))
-        worst = max(worst, float(resid))
-    return worst
+    lags = sorted(set(phi.support) | set(lam.support))
+    blocks = np.array(
+        [u.conj().T @ phi.coeff(n) @ u - lam.coeff(n) for n in lags], dtype=complex
+    ).reshape(-1, c.n, c.n)
+    return lags, blocks
+
+
+def diagonalize_check(c: CirculantSymbol) -> float:
+    """max_n ||U* C_n U - Lambda_n||_F over the lags of the symbol.
+
+    C(z) = sum_n C_n z^n and Lambda(z) = sum_n Lambda_n z^n, so U* C U =
+    Lambda holds on the whole circle exactly when it holds at every lag, and
+    the residual is pure floating-point noise; 0.0 for the zero symbol.
+    """
+    _, blocks = conjugation_blocks(c, c.as_matrix_symbol())
+    return max((float(np.linalg.norm(b)) for b in blocks), default=0.0)
 
 
 def circulant_from_matrix_symbol(phi: MatrixSymbol) -> CirculantSymbol:

@@ -16,7 +16,7 @@ the products already formed, at order 8w + 1: exact for T(Phi) itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .circulant import CirculantSymbol, circulant_eigen_symbols
@@ -41,7 +41,7 @@ class ClassificationCertificate:
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        return {"verdict": self.verdict, "method": self.method, "witness": self.witness}
+        return asdict(self)
 
 
 def autocorrelation(phi: ScalarSymbol) -> dict[int, complex]:

@@ -24,11 +24,13 @@ Verdicts are data, not failures: exit status is 0 for a completed run,
 ``--out`` that cannot be written, 3 for a truncation order that leaves the
 requested product no exact window (``check`` only: the order is at most the
 product's margin, see ``toeplitz.commutator_matrix``).
-``probe-t41`` reads whole sections and ``reduce`` reads the symbol's
-coefficients with each lag weighted by its count in the section (see
-``reducing.verify_reducing``).  ``suite`` compares criterion 9's gap data
-with the checkout's ``reference/theorem41_gaps.json``; without that file
-criterion 9 fails.
+``probe-t41`` reads whole sections.  ``diagonalize`` compares U* Phi_n U
+with Lambda_n lag by lag (see ``circulant.diagonalize_check``), and
+``reduce`` reads the symbol's coefficients with each lag weighted by its
+count in the section and the projectors' d x d blocks (see
+``reducing.verify_reducing``), so neither builds a section.  ``suite``
+compares criterion 9's gap data with the checkout's
+``reference/theorem41_gaps.json``; without that file criterion 9 fails.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .circulant import (
 )
 from .classify import brown_halmos_normal_test, circulant_binormal_classify, scalar_binormal_classify
 from .dilation import gamma, gamma_adjoint, theorem41_probe
-from .reducing import reducing_projectors, verify_reducing
+from .reducing import reducing_projectors, resolution_residual, verify_reducing
 from .serialize import (
     SymbolFormatError,
     circulant_to_json,
@@ -151,7 +153,6 @@ def cmd_diagonalize(args: argparse.Namespace) -> int:
         "n": circ.n,
         "eigen_symbols": [scalar_to_json(x) for x in lam.lambdas],
         "max_residual": diagonalize_check(circ),
-        "sample_count": 17,
     }
     _write_report(report, args.report)
     return EXIT_OK
@@ -232,13 +233,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     projectors = reducing_projectors(circ, order)
     sym = circ.as_matrix_symbol()
     reports = [verify_reducing(p, sym, order, args.tolerance) for p in projectors]
-    total = sum(p.matrix for p in projectors)
     payload = {
         "meta": _meta(args),
         "n": circ.n,
         "order": order,
         "projectors": [r.to_json() for r in reports],
-        "sum_to_identity_residual": float(np.linalg.norm(total - np.eye(order * circ.n))),
+        "sum_to_identity_residual": resolution_residual(projectors),
     }
     _write_report(payload, args.report)
     return EXIT_OK

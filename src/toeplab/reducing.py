@@ -1,4 +1,4 @@
-"""Reducing subspaces of block Toeplitz truncations.
+"""Reducing subspaces of block Toeplitz operators.
 
 A projector reduces an operator when it commutes with the operator and its
 adjoint, equivalently when the operator is block diagonal in a basis adapted
@@ -6,15 +6,17 @@ to range and complement.  For circulant symbols the Fourier coordinate
 projectors, transported blockwise, reduce the truncation exactly because the
 conjugating unitary is block-constant.
 
-``verify_reducing`` takes block-constant projectors Q = I_N (x) P only.  For
-those [Q, T(Phi)] = T([P, Phi]), so it decides from the symbol's
-coefficients, each lag n weighted by the w_n = max(N - |n|, 0) times it
-occurs in the section, and never builds the (N d) x (N d) section.
+Projectors here are block-constant, Q = I_N (x) P, and an
+``OrthogonalProjector`` stores only its d x d block P and the order N.  For
+those [Q, T(Phi)] = T([P, Phi]), so ``verify_reducing`` decides from the
+symbol's coefficients, each lag n weighted by the w_n = max(N - |n|, 0) times
+it occurs in the section, and never builds an (N d) x (N d) array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,29 +33,37 @@ PROJECTOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OrthogonalProjector:
-    """A dense self-adjoint idempotent; its ambient dimension and rank are
-    read from the matrix, never stored beside it."""
+    """The block-constant projector Q = I_N (x) P on C^(N d), stored as its
+    d x d block P and the order N.  Its ambient dimension, rank and residuals
+    are read from P; ``matrix`` builds Q only when a caller asks for it."""
 
-    matrix: np.ndarray
+    block: np.ndarray
+    order: int
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        self.block.setflags(write=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (N d) x (N d) array kron(I_N, P)."""
+        return np.kron(np.eye(self.order), self.block)
 
     @property
     def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.order * self.block.shape[0]
 
     @property
     def rank(self) -> int:
-        """The trace, rounded: the rank of a projector."""
-        return int(round(float(np.trace(self.matrix).real)))
+        """The trace N trace(P), rounded: the rank of a projector."""
+        return int(round(self.order * float(np.trace(self.block).real)))
 
     def invariant_residuals(self) -> tuple[float, float]:
-        """(||Q - Q*||_F, ||Q^2 - Q||_F)."""
-        q = self.matrix
+        """(||Q - Q*||_F, ||Q^2 - Q||_F) = sqrt(N) (||P - P*||_F, ||P^2 - P||_F)."""
+        p = self.block
+        scale = np.sqrt(self.order)
         return (
-            float(np.linalg.norm(q - q.conj().T)),
-            float(np.linalg.norm(q @ q - q)),
+            scale * float(np.linalg.norm(p - p.conj().T)),
+            scale * float(np.linalg.norm(p @ p - p)),
         )
 
     def is_valid(self, tol: float = PROJECTOR_TOL) -> bool:
@@ -89,15 +99,22 @@ def projection_intertwine_check(
 def reducing_projectors(c: CirculantSymbol, order: int) -> list[OrthogonalProjector]:
     """One projector per Fourier coordinate, transported to the symbol's frame.
 
-    P_k = (I_N (x) U) (I_N (x) E_k) (I_N (x) U)* where E_k is the coordinate
-    projector; each has rank N, they are mutually orthogonal, sum to the
+    Q_k = (I_N (x) U) (I_N (x) E_k) (I_N (x) U)* = I_N (x) u_k u_k*, with E_k
+    the coordinate projector and u_k column k of U, stored as its block
+    u_k u_k*; each has rank N, they are mutually orthogonal, sum to the
     identity, and commute with the truncation of the circulant symbol.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     u = dft_unitary(c.n)
-    eye = np.eye(order)
-    return [OrthogonalProjector(np.kron(eye, np.outer(col, col.conj()))) for col in u.T]
+    return [OrthogonalProjector(np.outer(col, col.conj()), order) for col in u.T]
+
+
+def resolution_residual(projectors: Sequence[OrthogonalProjector]) -> float:
+    """||sum_k Q_k - I||_F for projectors of one order N, read from their
+    blocks as sqrt(N) ||sum_k P_k - I_d||_F."""
+    total = sum(q.block for q in projectors)
+    return float(np.sqrt(projectors[0].order) * np.linalg.norm(total - np.eye(len(total))))
 
 
 @dataclass(frozen=True)
@@ -112,16 +129,7 @@ class ReducingReport:
     tolerance: float
 
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "ambient_dim": self.ambient_dim,
-            "commutator_T": self.commutator_T,
-            "commutator_Tstar": self.commutator_Tstar,
-            "offdiagonal_norm": self.offdiagonal_norm,
-            "verdict": self.verdict,
-            "trivial": self.trivial,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def verify_reducing(
@@ -132,8 +140,9 @@ def verify_reducing(
 ) -> ReducingReport:
     """Commutator and block-diagonality evidence for one projector.
 
-    The projector must be block-constant, Q = I_N (x) P with P the d x d
-    block ``q.matrix[:d, :d]``; any other Q raises ``ValueError``.  Then
+    The projector Q = I_N (x) P must have the order N of the section and a
+    block P of the symbol's size d, and P must be an orthogonal projector;
+    anything else raises ``ValueError``.  Then
     [Q, T(Phi)] is the section of the symbol [P, Phi], and every number is
     read from the coefficients Phi_n with no section built: lag n occurs
     w_n = max(N - |n|, 0) times in an N x N block section, so
@@ -146,25 +155,22 @@ def verify_reducing(
     weighted sums of P Phi_n - P Phi_n P and Phi_n P - P Phi_n P.  The rank
     is N trace(P), and the projector residuals sqrt(N) ||P - P*||_F and
     sqrt(N) ||P^2 - P||_F equal those of Q.  The cost is O(|supp| d^3),
-    whatever the order.
+    whatever the order, and no (N d) x (N d) array is built.
 
-    Any order >= 1 whose section matches the projector's ambient dimension
-    is accepted.  For N > bandwidth every lag of the symbol has w_n >= 1,
-    so a zero commutator means P commutes with every coefficient and the
-    verdict also holds for the infinite block Toeplitz operator.
+    Any order >= 1 is accepted.  For N > bandwidth every lag of the symbol
+    has w_n >= 1, so a zero commutator means P commutes with every
+    coefficient and the verdict also holds for the infinite block Toeplitz
+    operator.
     """
     sym = phi.as_matrix() if isinstance(phi, ScalarSymbol) else phi
     d = sym.dim
-    if order * d != q.ambient_dim:
+    p = q.block
+    if q.order != order or p.shape != (d, d):
         raise ValueError(
-            f"ambient dimension mismatch: projector {q.ambient_dim}, truncation {order * d}"
+            f"projector I_{q.order} (x) P with P of shape {p.shape} does not match "
+            f"the order-{order} section of a {d} x {d} symbol"
         )
-    p = q.matrix[:d, :d]
-    if not np.array_equal(q.matrix, np.kron(np.eye(order), p)):
-        raise ValueError(f"projector is not block-constant I_{order} (x) P with P {d} x {d}")
-    scale = np.sqrt(order)
-    h = scale * float(np.linalg.norm(p - p.conj().T))
-    i = scale * float(np.linalg.norm(p @ p - p))
+    h, i = q.invariant_residuals()
     if not (h <= PROJECTOR_TOL and i <= PROJECTOR_TOL):
         raise ValueError(
             f"input is not an orthogonal projector (hermitian residual {h:.3e}, "
@@ -184,7 +190,7 @@ def verify_reducing(
     # basis, up to a unitary change of basis that keeps the Frobenius norm
     pcp = pc @ p
     off = max(_weighted_norm(pc - pcp, weights), _weighted_norm(cp - pcp, weights))
-    r = int(round(order * float(np.trace(p).real)))
+    r = q.rank
 
     reducing = comm_t <= tolerance and comm_ts <= tolerance
     return ReducingReport(

@@ -6,8 +6,8 @@ Matrix symbol (scalar symbols use ``dim`` 1)::
 
     {"dim": d, "coeffs": {"n": [[[re, im], ...], ...]}}
 
-with string integer keys ``n`` and row-major d x d matrices of [re, im]
-pairs.  Circulant symbol::
+with canonical string integer keys ``n`` ("-2", "0", "3"; not "+3" or
+"03") and row-major d x d matrices of [re, im] pairs.  Circulant symbol::
 
     {"circulant": n, "row": [<scalar symbol>, ...]}
 
@@ -54,10 +54,16 @@ def _as_complex(value: Any, where: str) -> complex:
 
 
 def _as_index(key: Any, where: str) -> int:
+    """A coefficient key in canonical form: ``str(int(key)) == key``, so that
+    "01", "+1", " 1" and "1_0" are refused rather than read as another key's
+    index, which would silently drop one of the two coefficients."""
     try:
-        return int(key)
+        n = int(key)
     except (TypeError, ValueError):
-        raise SymbolFormatError(f"{where}: coefficient key {key!r} is not an integer") from None
+        n = None
+    if n is None or str(n) != key:
+        raise SymbolFormatError(f"{where}: coefficient key {key!r} is not a canonical integer")
+    return n
 
 
 def parse_matrix(obj: Any) -> MatrixSymbol:

@@ -5,6 +5,8 @@ A symbol is a finitely supported Laurent polynomial on the unit circle.
 complex matrix coefficients, and both constructors reject a NaN or infinite
 coefficient with ``ValueError``.  They are immutable value objects; all
 arithmetic returns new instances, so they are safe to share across threads.
+Every identity the package checks is an identity between coefficients, so a
+symbol is never evaluated at points of the circle.
 """
 
 from __future__ import annotations
@@ -17,16 +19,6 @@ import numpy as np
 # Coefficients whose modulus falls below this after arithmetic are dropped,
 # keeping the bandwidth meaningful for window computations.
 COEFF_PRUNE_TOL = 1e-15
-
-# |z| must be within this distance of 1 for point evaluation.
-UNIT_CIRCLE_TOL = 1e-12
-
-
-def _check_unit(z: complex) -> complex:
-    z = complex(z)
-    if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
-        raise ValueError(f"evaluation point must lie on the unit circle, got |z|={abs(z)!r}")
-    return z
 
 
 class ScalarSymbol:
@@ -127,11 +119,6 @@ class ScalarSymbol:
         if isinstance(other, (int, float, complex)):
             return ScalarSymbol({n: other * c for n, c in self._coeffs.items()})
         return NotImplemented
-
-    def __call__(self, z: complex) -> complex:
-        """Evaluate at a point of the unit circle."""
-        z = _check_unit(z)
-        return sum((c * z**n for n, c in self._coeffs.items()), 0j)
 
     # -- comparison -------------------------------------------------------
 
@@ -320,14 +307,6 @@ class MatrixSymbol:
             return self._scaled(other)
         return NotImplemented
 
-    def __call__(self, z: complex) -> np.ndarray:
-        """Evaluate at a point of the unit circle, returning a d x d array."""
-        z = _check_unit(z)
-        out = np.zeros((self._dim, self._dim), dtype=complex)
-        for n, mat in self._coeffs.items():
-            out += mat * z**n
-        return out
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -347,12 +326,3 @@ class MatrixSymbol:
 
     def __repr__(self) -> str:
         return f"MatrixSymbol(dim={self._dim}, support={list(self.support)})"
-
-
-def unit_samples(count: int = 17) -> list[complex]:
-    """Equispaced points e^(2 pi i t / count) on the unit circle.
-
-    The default of 17 points (an odd prime) avoids aliasing against the small
-    bandwidths used throughout.
-    """
-    return [complex(np.exp(2j * np.pi * t / count)) for t in range(count)]

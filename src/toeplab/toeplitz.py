@@ -41,11 +41,11 @@ already hold the product read its report there instead of rebuilding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .circulant import circulant_eigen_symbols, circulant_from_matrix_symbol, dft_unitary
+from .circulant import circulant_from_matrix_symbol, conjugation_blocks
 from .symbols import MatrixSymbol, ScalarSymbol
 
 DEFAULT_ORDER = 64
@@ -306,14 +306,7 @@ class CommutatorReport:
     tolerance: float
 
     def to_json(self) -> dict:
-        return {
-            "property": self.property,
-            "order": self.order,
-            "window_limit": self.window_limit,
-            "window_norm": self.window_norm,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 PROPERTIES = ("normal", "quasinormal", "binormal", "f-selfadjoint")
@@ -377,18 +370,16 @@ def conjugation_identity_check(phi: MatrixSymbol, order: int) -> float:
 
     V is block-constant, so V* T_Phi V is the section of U* Phi U and the
     residual is sqrt(sum_n w_n ||U* Phi_n U - Lambda_n||_F^2), lag n occurring
-    w_n = max(N - |n|, 0) times; no section is built.  The identity holds on
-    the whole section, so the residual is pure floating-point noise.
+    w_n = max(N - |n|, 0) times; no section is built.  The blocks are those of
+    ``circulant.conjugation_blocks``, whose largest is ``diagonalize_check``.
+    The identity holds on the whole section, so the residual is pure
+    floating-point noise.
     """
     circ = circulant_from_matrix_symbol(phi)
     if order < 1:
         raise ValueError("order must be >= 1")
-    lam = circulant_eigen_symbols(circ).as_matrix_symbol()
-    u = dft_unitary(circ.n)
-    lags = [n for n in sorted(set(phi.support) | set(lam.support)) if abs(n) < order]
-    blocks = np.array(
-        [u.conj().T @ phi.coeff(n) @ u - lam.coeff(n) for n in lags], dtype=complex
-    ).reshape(-1, circ.n, circ.n)
+    lags, blocks = conjugation_blocks(circ, phi)
     weights = np.array([order - abs(n) for n in lags], dtype=float)
-    return _weighted_norm(blocks, weights)
+    inside = weights > 0
+    return _weighted_norm(blocks[inside], weights[inside])
 

@@ -9,7 +9,8 @@ from toeplab.circulant import (
     dft_unitary,
     diagonalize_check,
 )
-from toeplab.symbols import MatrixSymbol, ScalarSymbol, unit_samples
+from pointwise import evaluate, unit_samples
+from toeplab.symbols import MatrixSymbol, ScalarSymbol
 
 ONE = ScalarSymbol.constant(1.0)
 
@@ -121,7 +122,7 @@ def test_diagonalize_check_circ123_and_eigensolver_value():
     assert diagonalize_check(c) <= 1e-12
     lam1 = circulant_eigen_symbols(c).lambdas[1].coeff(0)
     assert lam1 == pytest.approx(-1.5 - 0.8660254037844386j, abs=1e-10)
-    oracle = np.linalg.eigvals(c(1.0))
+    oracle = np.linalg.eigvals(evaluate(c, 1.0))
     assert min(abs(oracle - lam1)) <= 1e-10
 
 
@@ -140,8 +141,33 @@ def test_diagonalization_invariant_on_random_corpus():
         u = dft_unitary(n)
         lam = circulant_eigen_symbols(c)
         for z in samples:
-            resid = np.linalg.norm(u.conj().T @ c(z) @ u - lam(z))
+            resid = np.linalg.norm(u.conj().T @ evaluate(c, z) @ u - evaluate(lam, z))
             assert resid <= 1e-12
+
+
+def test_diagonalize_check_is_the_largest_per_lag_residual():
+    """Seeded corpus, n <= 16, w <= 3: the residual equals a dense oracle
+    built lag by lag, and bounds the residual sampled on the circle."""
+    rng = np.random.default_rng(15)
+    for _ in range(64):
+        n = int(rng.integers(1, 17))
+        c = rand_circulant(rng, n, w=int(rng.integers(1, 4)))
+        u = dft_unitary(n)
+        lam = circulant_eigen_symbols(c)
+        lags = sorted({m for phi in (*c.row, *lam.lambdas) for m in phi.support})
+        per_lag = []
+        for m in lags:
+            cm = np.array([[c.row[(j - i) % n].coeff(m) for j in range(n)] for i in range(n)])
+            lam_m = np.diag([x.coeff(m) for x in lam.lambdas])
+            per_lag.append(float(np.linalg.norm(u.conj().T @ cm @ u - lam_m)))
+        got = diagonalize_check(c)
+        assert got == max(per_lag)
+        # sum_m (U* C_m U - Lambda_m) z^m has norm at most the sum over lags,
+        # plus the rounding of evaluating the symbols at z and conjugating
+        sampled = max(np.linalg.norm(u.conj().T @ evaluate(c, z) @ u - evaluate(lam, z))
+                      for z in unit_samples(17))
+        size = sum(np.linalg.norm(mat) for _, mat in c.as_matrix_symbol().items())
+        assert sampled <= len(lags) * got + (len(lags) + n) * np.finfo(float).eps * size
 
 
 def test_eigen_symbol_linearity():
@@ -161,7 +187,7 @@ def test_constant_circulant_eigenvalues_match_eigensolver_multiset():
         vals = [complex(*rng.standard_normal(2)) for _ in range(n)]
         c = CirculantSymbol([const(v) for v in vals])
         mine = [lam.coeff(0) for lam in circulant_eigen_symbols(c).lambdas]
-        oracle = list(np.linalg.eigvals(c(1.0)))
+        oracle = list(np.linalg.eigvals(evaluate(c, 1.0)))
         for v in mine:
             closest = min(range(len(oracle)), key=lambda i: abs(oracle[i] - v))
             assert abs(oracle.pop(closest) - v) <= 1e-10
@@ -171,7 +197,7 @@ def test_constant_circulants_are_normal_matrices():
     rng = np.random.default_rng(12)
     for n in (2, 4, 8):
         c = CirculantSymbol([const(complex(*rng.standard_normal(2))) for _ in range(n)])
-        m = c(1.0)
+        m = evaluate(c, 1.0)
         assert np.linalg.norm(m.conj().T @ m - m @ m.conj().T) <= 1e-12
 
 

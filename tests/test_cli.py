@@ -106,7 +106,7 @@ def test_check_runs_an_8x8_circulant_at_order_1024(tmp_path):
 def test_diagonalize_reports(tmp_path):
     code, report = _run(tmp_path, "diagonalize", "--input", _write_input(tmp_path))
     assert code == cli.EXIT_OK
-    assert set(report) == {"meta", "n", "eigen_symbols", "max_residual", "sample_count"}
+    assert set(report) == {"meta", "n", "eigen_symbols", "max_residual"}
     assert report["n"] == 2 and len(report["eigen_symbols"]) == 2
     assert report["max_residual"] <= 1e-10
 
@@ -138,6 +138,15 @@ def test_classify_rejects_a_boolean_dim(tmp_path, capsys):
     assert cli.main(["classify", "--input", path]) == cli.EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("toeplab: input error:") and "dim" in err
+
+
+def test_a_coefficient_key_that_is_not_canonical_exits_2(tmp_path, capsys):
+    # "01" and "+1" would otherwise both read as index 1, keeping one coefficient
+    obj = {"dim": 1, "coeffs": {"1": [[[1.0, 0.0]]], "01": [[[2.0, 0.0]]], "+1": [[[3.0, 0.0]]]}}
+    path = _write_input(tmp_path, obj, "keys.json")
+    assert cli.main(["classify", "--input", path]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("toeplab: input error:") and "'01'" in err
 
 
 def test_f_selfadjoint_check_rejects_a_matrix_symbol(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from toeplab.reducing import (
     OrthogonalProjector,
     projection_intertwine_check,
     reducing_projectors,
+    resolution_residual,
     verify_reducing,
 )
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
@@ -62,6 +65,48 @@ def test_projector_ranks_and_invariants():
         assert p.is_valid()
 
 
+def test_matrix_is_the_kron_of_the_block_bitwise():
+    rng = np.random.default_rng(59)
+    for n, order in ((1, 3), (2, 1), (3, 7), (8, 5)):
+        projs = reducing_projectors(rand_circulant(rng, n), order)
+        total = sum(q.matrix for q in projs)
+        assert abs(resolution_residual(projs) - np.linalg.norm(total - np.eye(order * n))) <= 1e-14
+        for q in projs:
+            m = q.matrix
+            want = np.kron(np.eye(order), q.block)
+            assert m.dtype == want.dtype and m.tobytes() == want.tobytes()
+            # what the projector reads from its block, against the dense matrix
+            assert q.ambient_dim == m.shape[0] == order * n
+            assert q.rank == int(round(float(np.trace(m).real)))
+            dense = (np.linalg.norm(m - m.conj().T), np.linalg.norm(m @ m - m))
+            for got, want_norm in zip(q.invariant_residuals(), dense):
+                assert abs(got - want_norm) <= 1e-14
+    # a block that is not a projector: the residuals scale with sqrt(N)
+    junk = OrthogonalProjector(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 6)
+    m = junk.matrix
+    dense = (np.linalg.norm(m - m.conj().T), np.linalg.norm(m @ m - m))
+    assert junk.invariant_residuals() == pytest.approx(dense, rel=1e-12)
+    assert not junk.is_valid()
+
+
+def test_projectors_and_their_verification_stay_small_at_order_one_million():
+    # one dense projector at this order would be (8e6)^2 complex entries
+    order = 10**6
+    c = rand_circulant(np.random.default_rng(60), 8)
+    sym = c.as_matrix_symbol()
+    tracemalloc.start()
+    try:
+        projs = reducing_projectors(c, order)
+        reports = [verify_reducing(q, sym, order, 1e-10) for q in projs]
+        residual = resolution_residual(projs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert [(r.verdict, r.rank, r.ambient_dim) for r in reports] == [("reducing", order, 8 * order)] * 8
+    assert residual <= 1e-10
+
+
 @pytest.mark.parametrize("order", [0, -1])
 def test_projectors_reject_orders_below_one(order):
     with pytest.raises(ValueError, match="order must be >= 1"):
@@ -111,7 +156,7 @@ def test_projectors_reduce_circulant_at_orders_up_to_4w(order):
 def test_full_projector_is_trivially_reducing():
     rng = np.random.default_rng(54)
     c = rand_circulant(rng, 2)
-    q = OrthogonalProjector(np.eye(16, dtype=complex))
+    q = OrthogonalProjector(np.eye(2, dtype=complex), 8)
     rep = verify_reducing(q, c.as_matrix_symbol(), 8, 1e-10)
     assert rep.verdict == "reducing"
     assert rep.trivial
@@ -119,8 +164,8 @@ def test_full_projector_is_trivially_reducing():
 
 def test_verify_rejects_non_projector():
     rng = np.random.default_rng(55)
-    junk = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    q = OrthogonalProjector(junk)
+    junk = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q = OrthogonalProjector(junk, 4)
     with pytest.raises(ValueError):
         verify_reducing(q, rand_circulant(rng, 2).as_matrix_symbol(), 4, 1e-10)
 
@@ -128,9 +173,10 @@ def test_verify_rejects_non_projector():
 def test_verify_rejects_dimension_mismatch():
     rng = np.random.default_rng(56)
     c = rand_circulant(rng, 2)
-    q = OrthogonalProjector(np.eye(10, dtype=complex))
-    with pytest.raises(ValueError):
-        verify_reducing(q, c.as_matrix_symbol(), 16, 1e-10)
+    for q in (OrthogonalProjector(np.eye(2, dtype=complex), 5),
+              OrthogonalProjector(np.eye(3, dtype=complex), 16)):
+        with pytest.raises(ValueError, match="does not match"):
+            verify_reducing(q, c.as_matrix_symbol(), 16, 1e-10)
 
 
 def test_coordinate_projector_fails_for_non_circulant_symbol():
@@ -139,7 +185,7 @@ def test_coordinate_projector_fails_for_non_circulant_symbol():
     order = 12
     e0 = np.zeros((2, 2), dtype=complex)
     e0[0, 0] = 1.0
-    q = OrthogonalProjector(np.kron(np.eye(order), e0))
+    q = OrthogonalProjector(e0, order)
     rep = verify_reducing(q, phi, order, 1e-10)
     assert rep.verdict == "not_reducing"
     # dense commutator oracle
@@ -162,7 +208,7 @@ def test_commutator_and_block_diagonal_verdicts_agree():
     phi = MatrixSymbol.from_entries([[Z, ONE], [2.0 * ONE, ZBAR]])
     e0 = np.zeros((2, 2), dtype=complex)
     e0[0, 0] = 1.0
-    q = OrthogonalProjector(np.kron(np.eye(order), e0))
+    q = OrthogonalProjector(e0, order)
     rep = verify_reducing(q, phi, order, 1e-10)
     assert (rep.verdict == "reducing") == (rep.offdiagonal_norm <= 1e-10)
 
@@ -203,7 +249,7 @@ def dense_reducing(q, phi, order, tolerance):
 def random_block_projector(rng, d, rank, order):
     basis, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     p = basis[:, :rank] @ basis[:, :rank].conj().T
-    return OrthogonalProjector(np.kron(np.eye(order), p))
+    return OrthogonalProjector(p, order)
 
 
 def random_matrix_symbol(rng, d, w=3):
@@ -267,13 +313,3 @@ def test_fourier_projectors_match_dense_section(order):
         for q in reducing_projectors(c, order):
             assert_matches_dense(q, random_matrix_symbol(rng, n), order)
 
-
-def test_verify_rejects_a_projector_that_is_not_block_constant():
-    order, d = 6, 3
-    head = np.zeros((order, order))
-    head[0, 0] = 1.0
-    q = OrthogonalProjector(np.kron(head, np.eye(d)).astype(complex))
-    assert q.is_valid()
-    phi = MatrixSymbol.identity(d)
-    with pytest.raises(ValueError, match="block-constant"):
-        verify_reducing(q, phi, order, 1e-10)

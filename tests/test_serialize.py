@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from toeplab.circulant import CirculantSymbol
+from toeplab.classify import ClassificationCertificate
+from toeplab.reducing import ReducingReport
 from toeplab.serialize import (
     SymbolFormatError,
     circulant_to_json,
@@ -17,7 +19,7 @@ from toeplab.serialize import (
     scalar_to_json,
 )
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
-from toeplab.toeplitz import commutator_report
+from toeplab.toeplitz import CommutatorReport, commutator_report
 
 PHI = ScalarSymbol({-2: 0.3 + 0.1j, 0: 0.5, 1: 1.0 / 3.0})
 PSI = ScalarSymbol({1: -2.0j, 3: 1e-7})
@@ -108,6 +110,23 @@ def test_parse_circulant_rejects_a_bad_row_entry():
         parse_input({"circulant": 2, "row": [scalar_to_json(PHI), scalar_with([math.nan, 0.0])]})
 
 
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1_0", "-0", "1.0", "", "one", "\u0661"])
+def test_parse_matrix_rejects_a_key_that_is_not_a_canonical_integer(key):
+    with pytest.raises(SymbolFormatError, match="canonical"):
+        parse_matrix({"dim": 1, "coeffs": {key: [[[1.0, 0.0]]]}})
+
+
+def test_keys_that_int_reads_alike_are_refused_not_merged():
+    obj = {"dim": 1, "coeffs": {"1": [[[1.0, 0.0]]], "01": [[[2.0, 0.0]]], "+1": [[[3.0, 0.0]]]}}
+    with pytest.raises(SymbolFormatError, match="'01'"):
+        parse_input(obj)
+
+
+@pytest.mark.parametrize("key", ["0", "7", "-3", "123456789"])
+def test_parse_matrix_reads_canonical_keys(key):
+    assert parse_scalar({"dim": 1, "coeffs": {key: [[[1.0, 0.0]]]}}).support == (int(key),)
+
+
 def test_nan_from_json_text_is_rejected():
     # the json module reads NaN and Infinity literals as floats
     obj = json.loads('{"dim": 1, "coeffs": {"0": [[[NaN, 0]]], "1": [[[0, Infinity]]]}}')
@@ -134,6 +153,30 @@ def test_render_json_is_byte_stable_and_round_trips_floats():
     assert render_json(report) == text
     assert render_json(json.loads(text)) == text
     assert json.loads(text)["values"] == values
+
+
+@pytest.mark.parametrize(
+    "report,text",
+    [
+        (CommutatorReport("binormal", 64, 488, 3.0517578125e-05, "violated", 1e-08),
+         '{"property": "binormal", "order": 64, "window_limit": 488, "window_norm": '
+         '3.0517578125e-05, "verdict": "violated", "tolerance": 1e-08}'),
+        (ReducingReport(32, 64, 1.0 / 3.0, 2.5e-16, 0.0, "not_reducing", False, 1e-10),
+         '{"rank": 32, "ambient_dim": 64, "commutator_T": 0.33333333333333331, '
+         '"commutator_Tstar": 2.5000000000000002e-16, "offdiagonal_norm": 0, '
+         '"verdict": "not_reducing", "trivial": false, "tolerance": 1e-10}'),
+        (ClassificationCertificate("not_normal", "brown_halmos",
+                                   {"index": 2, "coeff_pos": 0.5 - 0.25j, "coeff_neg": None,
+                                    "reading": "standard", "lags": (1, -2)}),
+         '{"verdict": "not_normal", "method": "brown_halmos", "witness": {"index": 2, '
+         '"coeff_pos": [0.5, -0.25], "coeff_neg": null, "reading": "standard", "lags": [1, -2]}}'),
+        (ClassificationCertificate("inconclusive", "cor310_case"),
+         '{"verdict": "inconclusive", "method": "cor310_case", "witness": null}'),
+    ],
+    ids=["commutator", "reducing", "certificate", "certificate-no-witness"],
+)
+def test_reports_render_to_fixed_bytes(report, text):
+    assert render_json(report.to_json()) == text
 
 
 def test_render_json_rejects_numpy_bool():

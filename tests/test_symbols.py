@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplab.symbols import MatrixSymbol, ScalarSymbol, unit_samples
+from pointwise import evaluate, unit_samples
+from toeplab.symbols import MatrixSymbol, ScalarSymbol
 
 Z = ScalarSymbol.monomial(1)
 ZBAR = ScalarSymbol.monomial(-1)
@@ -19,11 +20,11 @@ def scalar(d):
 
 
 def test_eval_single_monomial():
-    assert Z(1j) == 1j
+    assert evaluate(Z, 1j) == 1j
 
 
 def test_eval_one_plus_z_at_one():
-    assert (ONE + Z)(1.0) == 2.0 + 0j
+    assert evaluate(ONE + Z, 1.0) == 2.0 + 0j
 
 
 def test_eval_two_sided_matches_direct_summation():
@@ -31,17 +32,9 @@ def test_eval_two_sided_matches_direct_summation():
     phi = scalar({1: 1.0, -1: 1.0})
     z = np.exp(1j * np.pi / 3)
     expected = sum(c * z**n for n, c in {1: 1.0, -1: 1.0}.items())
-    got = phi(z)
+    got = evaluate(phi, z)
     assert abs(got - expected) <= 1e-15
     assert abs(got - 1.0) <= 1e-12  # 2 cos(pi/3)
-
-
-@pytest.mark.parametrize("bad", [1.1, 0.5j, 0.0, 2.0])
-def test_eval_rejects_points_off_circle(bad):
-    with pytest.raises(ValueError):
-        Z(bad)
-    with pytest.raises(ValueError):
-        MatrixSymbol.identity(2)(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +150,8 @@ def test_mul_matches_pointwise_evaluation():
     phi, psi = rand_sym(2), rand_sym(2)
     prod = phi * psi
     for z in unit_samples(32):
-        expected = phi(z) @ psi(z)
-        assert np.allclose(prod(z), expected, rtol=1e-12, atol=1e-12)
+        expected = evaluate(phi, z) @ evaluate(psi, z)
+        assert np.allclose(evaluate(prod, z), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_add_and_mul_reject_dimension_mismatch():
@@ -181,8 +174,9 @@ def test_add_and_mul_reject_dimension_mismatch():
 def test_eval_respects_algebra(c1, c2, theta):
     phi, psi = scalar(c1), scalar(c2)
     z = complex(np.cos(theta), np.sin(theta))
-    assert abs((phi + psi)(z) - (phi(z) + psi(z))) <= 1e-12 * max(1.0, abs(phi(z)), abs(psi(z)))
-    assert abs((phi * psi)(z) - phi(z) * psi(z)) <= 1e-12 * max(1.0, abs(phi(z) * psi(z)))
+    a, b = evaluate(phi, z), evaluate(psi, z)
+    assert abs(evaluate(phi + psi, z) - (a + b)) <= 1e-12 * max(1.0, abs(a), abs(b))
+    assert abs(evaluate(phi * psi, z) - a * b) <= 1e-12 * max(1.0, abs(a * b))
 
 
 @given(
