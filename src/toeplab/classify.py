@@ -16,12 +16,13 @@ the products already formed, at order 8w + 1: exact for T(Phi) itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .circulant import CirculantSymbol, circulant_eigen_symbols
 from .symbols import MatrixSymbol, ScalarSymbol
-from .toeplitz import DEFAULT_TOLERANCE, VERDICT_CLEAN, CommutatorReport, ToeplitzTruncation, truncate
+from .toeplitz import DEFAULT_TOLERANCE, VERDICT_CLEAN, CommutatorReport, ToeplitzTruncation, exact_order, truncate
 
 # Not used in this module; the binding stays because perfbench/test_tracing.py
 # asserts that the benchmark's tracer wraps toeplab.classify.commutator_report.
@@ -44,11 +45,13 @@ class ClassificationCertificate:
         return asdict(self)
 
 
-def autocorrelation(phi: ScalarSymbol) -> dict[int, complex]:
-    """r_j = sum_k c_{k+j} * conj(c_k) for all lags j with support overlap."""
+def autocorrelation(phi: ScalarSymbol, scale: float = 1.0) -> dict[int, complex]:
+    """r_j = sum_k c_{k+j} * conj(c_k) for all lags j with support overlap,
+    of the coefficients c of phi / scale."""
+    coeffs = [(n, c / scale) for n, c in phi.items()]
     out: dict[int, complex] = {}
-    for n, a in phi.items():
-        for m, b in phi.items():
+    for n, a in coeffs:
+        for m, b in coeffs:
             lag = n - m
             out[lag] = out.get(lag, 0j) + a * b.conjugate()
     return out
@@ -64,11 +67,14 @@ def inner_multiple_test(phi: ScalarSymbol) -> ClassificationCertificate:
     |phi|^2 on the circle has Fourier coefficient r_j at frequency j, so the
     modulus is constant exactly when every nonzero lag vanishes; the constant
     square modulus is then r_0 and phi is a constant multiple of an inner
-    function.
+    function.  The lags are decided on phi / m, m the power of two just
+    above the largest coefficient modulus, so that no r_j overflows and the
+    scaling is exact; the witness is in phi's own units, m^2 r_j.
     """
     if not phi.is_analytic():
         raise ValueError("inner_multiple_test requires an analytic symbol")
-    r = autocorrelation(phi)
+    m = math.ldexp(1.0, math.frexp(phi.max_modulus_coeff())[1])
+    r = autocorrelation(phi, m)
     r0 = r.get(0, 0j).real
     tol = COEFF_REL_TOL * r0
     bad = sorted(j for j, v in r.items() if j > 0 and abs(v) > tol)
@@ -76,13 +82,13 @@ def inner_multiple_test(phi: ScalarSymbol) -> ClassificationCertificate:
         return ClassificationCertificate(
             verdict="binormal",
             method="inner_multiple",
-            witness={"constant_modulus_sq": r0},
+            witness={"constant_modulus_sq": r0 * m * m},
         )
     lag = bad[0]
     return ClassificationCertificate(
         verdict="not_binormal",
         method="inner_multiple",
-        witness={"lag": lag, "autocorrelation": r[lag]},
+        witness={"lag": lag, "autocorrelation": r[lag] * m * m},
     )
 
 
@@ -206,13 +212,14 @@ def _block_section(
     phis: Sequence[ScalarSymbol],
 ) -> tuple[ToeplitzTruncation, list[ToeplitzTruncation]]:
     """The section of the 2x2 block symbol and its four entries, in the
-    order of ``phis``: (0, 0), (0, 1), (1, 0), (1, 1).  The order is 8w + 1,
-    w the block's bandwidth: no check reads a margin above 4w (K, x, cor52ii's
-    t1 skew and s2 s2), and from order 2W + 1 on the window of a margin-W
-    product holds every entry of its infinite operator (``toeplab.toeplitz``).
+    order of ``phis``: (0, 0), (0, 1), (1, 0), (1, 1).  The order is
+    ``exact_order(4w)`` = 8w + 1, w the block's bandwidth: no check reads a
+    margin above 4w (K, x, cor52ii's t1 skew and s2 s2), and from order
+    2W + 1 on the window of a margin-W product holds every entry of its
+    infinite operator (``toeplab.toeplitz``).
     """
     block = MatrixSymbol.from_entries([[phis[0], phis[1]], [phis[2], phis[3]]])
-    t = truncate(block, 8 * block.bandwidth + 1)
+    t = truncate(block, exact_order(4 * block.bandwidth))
     return t, [t.entry(a, b) for a in (0, 1) for b in (0, 1)]
 
 

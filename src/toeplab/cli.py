@@ -3,27 +3,26 @@
 One subcommand per claim family, each taking only the options it reads:
 
 * ``diagonalize``, ``classify`` and ``gamma``: ``--input`` and ``--out``;
-* ``check``: also ``--property``, a comma-separated ``--order`` list and
-  ``--tolerance``;
-* ``probe-t41`` and ``reduce``: also ``--order`` (exactly one order >= 1; a
-  list exits 2) and ``--tolerance``;
+* ``check``: also ``--property`` and ``--tolerance``.  It decides the
+  identity for the infinite operator T(Phi), at the product's exact order
+  2W + 1 (``toeplitz.exact_order``), and that order is the report's
+  ``order``; no order is asked of the user;
+* ``probe-t41`` and ``reduce``: also ``--order`` (one order >= 1 of the
+  finite section they read, default 64) and ``--tolerance``;
 * ``suite``: ``--seed`` and ``--out``; the report at ``--out`` also records
   the ``environment`` (numpy and BLAS versions, BLAS thread variables, CPU
   count) that its timings depend on.
 
-Reports are JSON on stdout or at ``--out``; ``check`` additionally writes a
-CSV convergence table next to ``--out``, at ``--out`` with the suffix
-``.csv``, so it refuses an ``--out`` that already ends in ``.csv`` (exit 2).
-Every output file is opened, and emptied, before any work starts, as a shell
-redirection is: an unwritable ``--out`` costs nothing, and a run that fails
-leaves it empty.  A report's ``meta`` records the input and its digest, plus
-``orders`` and ``tolerance`` for the commands that take them.  A tolerance
-must be finite and >= 0.
+Reports are JSON on stdout or at ``--out``.  The ``--out`` file is opened,
+and emptied, before any work starts, as a shell redirection is: an
+unwritable ``--out`` costs nothing, and a run that fails leaves it empty.
+A report's ``meta`` records the input and its digest, plus ``tolerance``
+and ``order`` for the commands that take them.  A tolerance must be finite
+and >= 0.
 Verdicts are data, not failures: exit status is 0 for a completed run,
-1 for acceptance-suite failures, 2 for unusable input or options and for an
-``--out`` that cannot be written, 3 for a truncation order that leaves the
-requested product no exact window (``check`` only: the order is at most the
-product's margin, see ``toeplitz.commutator_matrix``).
+1 for acceptance-suite failures, and 2 for unusable input or options
+(a product that overflows to a non-finite entry included) and for an
+``--out`` that cannot be written.
 ``probe-t41`` reads whole sections.  ``diagonalize`` compares U* Phi_n U
 with Lambda_n lag by lag (see ``circulant.diagonalize_check``), and
 ``reduce`` reads the symbol's coefficients with each lag weighted by its
@@ -39,7 +38,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import ExitStack
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TextIO
 
@@ -58,7 +57,6 @@ from .reducing import reducing_projectors, resolution_residual, verify_reducing
 from .serialize import (
     SymbolFormatError,
     circulant_to_json,
-    convergence_csv,
     file_digest,
     load_input,
     render_json,
@@ -66,12 +64,14 @@ from .serialize import (
 )
 from .suite import ACCEPTANCE_SEED, run_suite
 from .symbols import MatrixSymbol, ScalarSymbol
-from .toeplitz import DEFAULT_ORDER, DEFAULT_TOLERANCE, PROPERTIES, WindowError, commutator_report
+from .toeplitz import DEFAULT_TOLERANCE, PROPERTIES, commutator_report
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_PARSE = 2
-EXIT_WINDOW = 3
+
+# the section order of probe-t41 and reduce when --order is not given
+SECTION_ORDER = 64
 
 # the variables that set the BLAS thread count, recorded in suite reports
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -80,21 +80,14 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 REFERENCE_PATH = Path(__file__).resolve().parents[2] / "reference" / "theorem41_gaps.json"
 
 
-def _parse_orders(text: str) -> list[int]:
+def _parse_order(text: str) -> int:
     try:
-        orders = [int(x) for x in text.split(",") if x.strip()]
+        order = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid order list {text!r}") from None
-    if not orders or any(n < 1 for n in orders):
-        raise argparse.ArgumentTypeError(f"orders must be positive integers, got {text!r}")
-    return orders
-
-
-def _parse_order(text: str) -> list[int]:
-    orders = _parse_orders(text)
-    if len(orders) != 1:
-        raise argparse.ArgumentTypeError(f"expected one truncation order, got {text!r}")
-    return orders
+        raise argparse.ArgumentTypeError(f"expected one truncation order, got {text!r}") from None
+    if order < 1:
+        raise argparse.ArgumentTypeError(f"the order must be a positive integer, got {text!r}")
+    return order
 
 
 def _parse_tolerance(text: str) -> float:
@@ -107,20 +100,6 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
-def _csv_path(out: str) -> Path:
-    """Where ``check`` writes its CSV table: ``out`` with the suffix ``.csv``."""
-    p = Path(out)
-    return p.with_suffix(".csv") if p.suffix else Path(str(p) + ".csv")
-
-
-def _parse_check_out(text: str) -> str:
-    if _csv_path(text) == Path(text):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is where check writes its CSV table; give the JSON report another suffix"
-        )
-    return text
-
-
 def _meta(args: argparse.Namespace) -> dict:
     meta = {
         "tool": "toeplab",
@@ -129,9 +108,10 @@ def _meta(args: argparse.Namespace) -> dict:
         "input": args.input,
         "input_digest": file_digest(args.input),
     }
-    if "order" in args:  # check, probe-t41 and reduce, which also take --tolerance
-        meta["orders"] = args.order
+    if "tolerance" in args:  # check, probe-t41 and reduce
         meta["tolerance"] = args.tolerance
+    if "order" in args:  # probe-t41 and reduce
+        meta["order"] = args.order
     return meta
 
 
@@ -168,15 +148,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         symbol = parsed
     if args.property == "f-selfadjoint" and not isinstance(symbol, ScalarSymbol):
         raise SymbolFormatError("the f-selfadjoint check applies to scalar symbols only")
-    reports = [commutator_report(symbol, args.property, n, args.tolerance) for n in args.order]
+    report = commutator_report(symbol, args.property, tolerance=args.tolerance)
     payload = {
         "meta": _meta(args),
         "property": args.property,
-        "reports": [r.to_json() for r in reports],
+        "report": report.to_json(),
     }
     _write_report(payload, args.report)
-    if args.table:
-        args.table.write(convergence_csv(reports))
     return EXIT_OK
 
 
@@ -221,7 +199,7 @@ def cmd_probe_t41(args: argparse.Namespace) -> int:
     sym = parsed.as_matrix_symbol() if isinstance(parsed, CirculantSymbol) else parsed
     if sym.dim != 2:
         raise SymbolFormatError(f"probe-t41 requires a 2 x 2 symbol, got dim {sym.dim}")
-    rep = theorem41_probe(sym, args.order[0], args.tolerance)
+    rep = theorem41_probe(sym, args.order, args.tolerance)
     payload = {"meta": _meta(args), **rep.to_json()}
     _write_report(payload, args.report)
     return EXIT_OK
@@ -229,7 +207,7 @@ def cmd_probe_t41(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     circ = _as_circulant(load_input(args.input))
-    order = args.order[0]
+    order = args.order
     projectors = reducing_projectors(circ, order)
     sym = circ.as_matrix_symbol()
     reports = [verify_reducing(p, sym, order, args.tolerance) for p in projectors]
@@ -277,30 +255,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"toeplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, order=None, order_help="", out=str):
-        """A subcommand on one input file, with --order (parsed by ``order``)
-        and --tolerance when ``order`` is given, and --out parsed by ``out``."""
+    def command(name, handler, summary, tolerance=False, order=False):
+        """A subcommand on one input file, with --out, and with --tolerance
+        and --order when asked for."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--input", required=True, help="symbol or circulant JSON file")
-        p.add_argument("--out", type=out, help="write the JSON report here instead of stdout")
-        if order is not None:
-            p.add_argument("--order", type=order, default=[DEFAULT_ORDER],
-                           help=f"{order_help} (default {DEFAULT_ORDER})")
+        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        if order:
+            p.add_argument("--order", type=_parse_order, default=SECTION_ORDER,
+                           help=f"truncation order of the section (default {SECTION_ORDER})")
+        if tolerance:
             p.add_argument("--tolerance", type=_parse_tolerance, default=DEFAULT_TOLERANCE,
                            help=f"verdict tolerance, finite and >= 0 (default {DEFAULT_TOLERANCE})")
         return p
 
     command("diagonalize", cmd_diagonalize, "eigenvalue symbols and conjugation residual")
-    p = command("check", cmd_check, "window-exact commutator verdicts over truncation orders",
-                _parse_orders, "comma-separated truncation orders", _parse_check_out)
+    p = command("check", cmd_check, "commutator verdict for T(Phi), read at its exact order",
+                tolerance=True)
     p.add_argument("--property", required=True, choices=PROPERTIES)
     command("classify", cmd_classify, "coefficient-level normality/binormality certificates")
     command("gamma", cmd_gamma, "flatten a matrix symbol into its dilated circulant")
     command("probe-t41", cmd_probe_t41, "evidence on the dilation block equivalence claim",
-            _parse_order, "truncation order")
+            tolerance=True, order=True)
     command("reduce", cmd_reduce, "build and verify reducing projectors for a circulant",
-            _parse_order, "truncation order")
+            tolerance=True, order=True)
     p = sub.add_parser("suite", help="run the full acceptance corpus")
     p.set_defaults(handler=cmd_suite)
     p.add_argument("--seed", type=int, default=ACCEPTANCE_SEED,
@@ -312,18 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with ExitStack() as stack:
-            # outputs are opened before any work, so an unwritable one costs nothing
-            args.report = args.table = None
-            if args.out:
-                args.report = stack.enter_context(open(args.out, "w", encoding="utf-8"))
-                if args.command == "check":
-                    args.table = stack.enter_context(
-                        open(_csv_path(args.out), "w", encoding="utf-8"))
+        # the output is opened before any work, so an unwritable one costs nothing
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as args.report:
             return args.handler(args)
-    except WindowError as exc:
-        sys.stderr.write(f"toeplab: window error: {exc}\n")
-        return EXIT_WINDOW
     except ValueError as exc:
         # includes SymbolFormatError and CirculantPatternError
         sys.stderr.write(f"toeplab: input error: {exc}\n")

@@ -193,10 +193,3 @@ def render_json(value: Any) -> str:
     _render(value, parts)
     return "".join(parts)
 
-
-def convergence_csv(reports) -> str:
-    """CSV table with one row per truncation order."""
-    lines = ["N,window_limit,window_norm"]
-    for rep in reports:
-        lines.append(f"{rep.order},{rep.window_limit},{format(rep.window_norm, '.17g')}")
-    return "\n".join(lines) + "\n"

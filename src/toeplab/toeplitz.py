@@ -24,7 +24,7 @@ one.  Truncation, adjoints, sums and window reductions walk the strips, and
 linear in N, set by the bandwidths and d.
 
 Reports read entries only from the exact window, so a nonzero entry there
-disproves an operator identity.  From order 2W + 1 on, a
+disproves an operator identity.  From order 2W + 1 on (``exact_order``), a
 clean window of a product of margin W proves it: by T(a) T(b) = T(ab) -
 H(a) H(b~) (Boettcher-Silbermann) the infinite product is T(sigma) + K, sigma
 of bandwidth <= W and K in the first W x W blocks (each factor of margin w_i
@@ -32,11 +32,15 @@ widens the Hankel corner by at most w_i).  A window of W + 1 blocks holds all
 of K and every lag n of sigma outside it, at block (W, W - n) for n >= 0 and
 (W + n, W) for n < 0, so its largest entry is that of the infinite operator.
 
-The margin is the only order policy: any order >= 1 builds a section, and
-``window_max_abs`` raises ``WindowError`` exactly when a product's window is
-empty (order <= margin).  ``ToeplitzTruncation.report`` is the one reader
-that turns a product's window into a ``CommutatorReport``; callers that
-already hold the product read its report there instead of rebuilding it.
+That is the one order policy: ``commutator_matrix`` and ``commutator_report``
+build their product at ``exact_order`` of its margin unless given an order,
+and the 2x2 block checks in ``toeplab.classify`` read theirs at that order.
+Any explicit order >= 1 builds a section; ``window_max_abs`` raises
+``WindowError`` exactly when a product's window is empty (order <= margin),
+and ``ValueError`` when it holds a non-finite entry (the product overflowed).
+``ToeplitzTruncation.report`` is the one reader that turns a product's window
+into a ``CommutatorReport``; callers that already hold the product read its
+report there instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import numpy as np
 from .circulant import circulant_from_matrix_symbol, conjugation_blocks
 from .symbols import MatrixSymbol, ScalarSymbol
 
-DEFAULT_ORDER = 64
 DEFAULT_TOLERANCE = 1e-8
 
 VERDICT_VIOLATED = "violated"
@@ -132,7 +135,8 @@ class ToeplitzTruncation:
         return self.data[:lim, :lim]
 
     def window_max_abs(self) -> float:
-        """Largest |entry| of the window, read from the band inside it."""
+        """Largest |entry| of the window, read from the band inside it; an
+        empty window raises ``WindowError``, a non-finite entry ``ValueError``."""
         lim, b, d = self.order - self.margin, self.band, self.block_dim
         if lim <= 0:
             raise WindowError(
@@ -144,7 +148,10 @@ class ToeplitzTruncation:
         head = np.abs(self.strips[:full]).max(initial=0.0)
         tail = np.abs(self.strips[full:lim]).max(axis=1)
         keep = np.arange(self.strips.shape[2]) < ((lim + b - np.arange(full, lim)) * d)[:, None]
-        return float(max(head, tail[keep].max(initial=0.0)))
+        tail = tail[keep].max(initial=0.0)
+        if not (np.isfinite(head) and np.isfinite(tail)):
+            raise ValueError("the window holds a non-finite entry: the product overflowed")
+        return float(max(head, tail))
 
     def entry(self, a: int, b: int) -> "ToeplitzTruncation":
         """Entry (a, b) of every block, as a scalar section with the block's
@@ -259,8 +266,8 @@ class ToeplitzTruncation:
 
         ``violated`` certifies the identity fails (a window entry is a true
         entry of the infinite operator); the clean verdict proves it holds
-        from order 2 * margin + 1 on (module docstring), and only bounds the
-        window below that.  An empty window raises ``WindowError``.
+        from ``exact_order(margin)`` on, and only bounds the window below
+        that.  ``window_max_abs`` raises for an empty or non-finite window.
         """
         norm = self.window_max_abs()
         return CommutatorReport(
@@ -309,22 +316,38 @@ class CommutatorReport:
         return asdict(self)
 
 
-PROPERTIES = ("normal", "quasinormal", "binormal", "f-selfadjoint")
+# The margin of each commutator product, as (a, b): a w + b for a symbol of
+# bandwidth w (``commutator_matrix``).
+_PRODUCT_MARGINS = {"normal": (2, 0), "quasinormal": (3, 0), "binormal": (4, 0), "f-selfadjoint": (4, 2)}
+PROPERTIES = tuple(_PRODUCT_MARGINS)
+
+
+def exact_order(margin: int) -> int:
+    """2 W + 1: from this order on, the window of a product of margin W holds
+    every entry of its infinite operator (module docstring)."""
+    return 2 * margin + 1
 
 
 def commutator_matrix(
-    symbol: MatrixSymbol | ScalarSymbol, property: str, order: int
+    symbol: MatrixSymbol | ScalarSymbol, property: str, order: int | None = None
 ) -> ToeplitzTruncation:
     """The truncation-level test matrix for one of the commutator identities.
 
     ``f-selfadjoint`` is F - F* with F = S* (T*T)(TT*) S - (T*T)(TT*) and S
     the shift, the section of the symbol z; for scalar symbols F = F* is
-    equivalent to binormality.  The
-    product's margin is 2w, 3w, 4w or 4w + 2 (normal, quasinormal, binormal,
-    f-selfadjoint) for a symbol of bandwidth w; no order is refused here.
+    equivalent to binormality.  The product's margin is 2w, 3w, 4w or 4w + 2
+    (normal, quasinormal, binormal, f-selfadjoint) for a symbol of bandwidth
+    w, and the default order is ``exact_order`` of it, where the product's
+    window decides the identity for T(Phi) itself.  An explicit order builds
+    the same products at that order; no order is refused here.
     """
+    if property not in _PRODUCT_MARGINS:
+        raise ValueError(f"unknown property {property!r}; expected one of {PROPERTIES}")
     if property == "f-selfadjoint" and not isinstance(symbol, ScalarSymbol):
         raise TypeError("the f-selfadjoint check takes a scalar symbol")
+    if order is None:
+        a, b = _PRODUCT_MARGINS[property]
+        order = exact_order(a * symbol.bandwidth + b)
     t = truncate(symbol, order)
     ts = t.adjoint()
     if property == "normal":
@@ -336,24 +359,23 @@ def commutator_matrix(
         a = ts @ t
         b = t @ ts
         return a @ b - b @ a
-    if property == "f-selfadjoint":
-        s = truncate(ScalarSymbol.monomial(1), order)
-        ab = (ts @ t) @ (t @ ts)
-        f = s.adjoint() @ ab @ s - ab
-        return f - f.adjoint()
-    raise ValueError(f"unknown property {property!r}; expected one of {PROPERTIES}")
+    s = truncate(ScalarSymbol.monomial(1), order)
+    ab = (ts @ t) @ (t @ ts)
+    f = s.adjoint() @ ab @ s - ab
+    return f - f.adjoint()
 
 
 def commutator_report(
     symbol: MatrixSymbol | ScalarSymbol,
     property: str,
-    order: int = DEFAULT_ORDER,
+    order: int | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CommutatorReport:
     """Build [T*,T], [T*T,T], [T*T,TT*] or F - F* and read its report.
 
-    This is ``commutator_matrix(...).report(...)``.  The order only has to
-    exceed the product's own margin (see ``commutator_matrix``); at or below
+    This is ``commutator_matrix(...).report(...)``.  By default the order is
+    the product's exact order 2W + 1, and the verdict is a proof either way.
+    An explicit order only has to exceed the product's margin; at or below
     it the window is empty and ``WindowError`` is raised.
     """
     return commutator_matrix(symbol, property, order).report(property, tolerance)

@@ -58,6 +58,20 @@ def test_inner_gapped_symbol_fails_at_lag_two():
     assert cert.witness["lag"] == 2
 
 
+# 1e-14 rather than smaller: ScalarSymbol drops coefficients below 1e-15
+@pytest.mark.parametrize("s", [1e-14, 1.0, 1e154, 1e300])
+def test_inner_multiple_verdicts_do_not_depend_on_scale(s):
+    # r_1 of s (1 + z) is s^2, which overflows from s ~ 1.3e154 on; the lags
+    # are decided on phi / m and the witness carries m^2 again
+    cert = scalar_binormal_classify(s * (ONE + Z))
+    assert cert.verdict == "not_binormal" and cert.witness["lag"] == 1
+    cube = scalar_binormal_classify(ScalarSymbol.monomial(3, s))
+    assert cube.verdict == "binormal"
+    if s * s < np.inf:
+        assert cert.witness["autocorrelation"] == pytest.approx(s * s)
+        assert cube.witness["constant_modulus_sq"] == pytest.approx(s * s)
+
+
 def test_inner_rejects_non_analytic():
     with pytest.raises(ValueError):
         inner_multiple_test(Z + ZBAR)

@@ -6,7 +6,7 @@ import pytest
 
 from toeplab import cli
 
-# a 2 x 2 circulant with bandwidth w = 2, so order 8 = 4w
+# a 2 x 2 circulant with bandwidth w = 2: the binormal product's margin is 4w = 8
 CIRCULANT = {
     "circulant": 2,
     "row": [
@@ -48,21 +48,37 @@ def test_probe_t41_reports_at_order_4w(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["order"] == 8
 
 
-def test_check_keeps_the_window_guard(tmp_path):
-    # 8 <= 4w, the binormal product's margin: its exact window is empty
-    code = cli.main(["check", "--input", _write_input(tmp_path), "--property", "binormal",
-                     "--order", "8"])
-    assert code == cli.EXIT_WINDOW
-
-
-def test_check_normal_just_above_its_margin(tmp_path):
-    # 5 > 2w, the normal product's margin: one exact block in the window
-    out = tmp_path / "check.json"
-    code = cli.main(["check", "--input", _write_input(tmp_path), "--property", "normal",
-                     "--order", "5", "--out", str(out)])
+@pytest.mark.parametrize("prop,margin", [("normal", 4), ("quasinormal", 6), ("binormal", 8)])
+def test_check_reports_at_the_exact_order_of_its_product(tmp_path, prop, margin):
+    code, report = _run(tmp_path, "check", "--input", _write_input(tmp_path), "--property", prop)
     assert code == cli.EXIT_OK
-    report = json.loads(out.read_text(encoding="utf-8"))
-    assert report["reports"][0]["window_limit"] == 2
+    assert set(report) == {"meta", "property", "report"}
+    # order 2W + 1 leaves a window of W + 1 blocks of size 2
+    assert report["report"]["order"] == 2 * margin + 1
+    assert report["report"]["window_limit"] == (margin + 1) * 2
+    assert report["report"]["property"] == prop
+
+
+def test_check_takes_no_order(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--input", _write_input(tmp_path), "--property", "normal",
+                  "--order", "9"])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "--order" in capsys.readouterr().err
+
+
+def test_an_overflowing_check_exits_2_without_a_verdict(tmp_path, capsys):
+    # 1e77 (1 + z) is not binormal, but its binormal product overflows
+    big = {"dim": 1, "coeffs": {"0": [[[1e77, 0.0]]], "1": [[[1e77, 0.0]]]}}
+    out = tmp_path / "report.json"
+    with pytest.warns(RuntimeWarning):  # numpy's overflow warnings, then the refusal
+        code = cli.main(["check", "--input", _write_input(tmp_path, big, "big.json"),
+                         "--property", "binormal", "--out", str(out)])
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("toeplab: input error:") and "non-finite" in err
+    assert "Traceback" not in err
+    assert out.read_text(encoding="utf-8") == ""
 
 
 def test_suite_writes_its_report(tmp_path):
@@ -90,17 +106,16 @@ def test_suite_report_records_its_environment(tmp_path, monkeypatch):
     assert env["cpu_count"] == os.cpu_count()
 
 
-def test_check_runs_an_8x8_circulant_at_order_1024(tmp_path):
-    # one dense section would take 1 GB here; the strips take a few MB each
+def test_check_runs_an_8x8_circulant_at_its_exact_order(tmp_path):
     rng = np.random.default_rng(95)
     row = [{"dim": 1, "coeffs": {str(n): [[[float(x), float(y)]]]
                                  for n, (x, y) in zip((-1, 0, 2), rng.standard_normal((3, 2)))}}
            for _ in range(8)]
     circ = _write_input(tmp_path, {"circulant": 8, "row": row}, "circ8.json")
-    code, report = _run(tmp_path, "check", "--input", circ, "--property", "binormal",
-                        "--order", "1024")
+    code, report = _run(tmp_path, "check", "--input", circ, "--property", "binormal")
     assert code == cli.EXIT_OK
-    assert report["reports"][0]["window_limit"] == (1024 - 4 * 2) * 8
+    assert report["report"]["order"] == 2 * 4 * 2 + 1
+    assert report["report"]["window_limit"] == (4 * 2 + 1) * 8
 
 
 def test_diagonalize_reports(tmp_path):
@@ -167,7 +182,7 @@ def test_single_order_commands_reject_an_order_list(tmp_path, capsys, command):
 def test_single_order_commands_report_the_order_they_ran(tmp_path, command):
     code, report = _run(tmp_path, command, "--input", _write_input(tmp_path), "--order", "8")
     assert code == cli.EXIT_OK
-    assert report["meta"]["orders"] == [8]
+    assert report["meta"]["order"] == 8
     assert report["order"] == 8
 
 
@@ -190,10 +205,8 @@ def test_options_a_command_does_not_read_are_rejected(tmp_path, argv):
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "-inf", "tight"])
 def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected(tmp_path, capsys, command,
                                                                     tolerance):
-    argv = [command, "--input", _write_input(tmp_path), "--order", "9",
-            f"--tolerance={tolerance}"]
-    if command == "check":
-        argv += ["--property", "normal"]
+    argv = [command, "--input", _write_input(tmp_path), f"--tolerance={tolerance}"]
+    argv += ["--property", "normal"] if command == "check" else ["--order", "9"]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_PARSE
@@ -202,14 +215,14 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_rejected(tmp_path, ca
 
 def test_a_zero_tolerance_is_accepted(tmp_path):
     code, report = _run(tmp_path, "check", "--input", _write_input(tmp_path),
-                        "--property", "normal", "--order", "9", "--tolerance", "0")
+                        "--property", "normal", "--tolerance", "0")
     assert code == cli.EXIT_OK
     assert report["meta"]["tolerance"] == 0.0
-    assert report["reports"][0]["tolerance"] == 0.0
+    assert report["report"]["tolerance"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", "--property", "normal", "--order", "9"],
+    ["check", "--property", "normal"],
     ["suite"],
 ])
 def test_an_unwritable_out_exits_2_without_a_traceback(tmp_path, capsys, argv):
@@ -226,7 +239,7 @@ def test_an_unwritable_out_exits_2_without_a_traceback(tmp_path, capsys, argv):
     ("diagonalize", []),
     ("classify", []),
     ("gamma", []),
-    ("check", ["--property", "normal", "--order", "9,16"]),
+    ("check", ["--property", "normal"]),
     ("probe-t41", ["--order", "9"]),
     ("reduce", ["--order", "9"]),
 ])
@@ -237,40 +250,26 @@ def test_meta_records_only_the_options_the_command_takes(tmp_path, command, extr
     meta = report["meta"]
     keys = {"tool", "version", "command", "input", "input_digest"}
     if extra:
-        keys |= {"orders", "tolerance"}
+        keys.add("tolerance")
         assert meta["tolerance"] == 1e-8
+    if "--order" in extra:
+        keys.add("order")
+        assert meta["order"] == 9
     assert set(meta) == keys
     assert meta["command"] == command and meta["input"] == path
 
 
-def test_check_refuses_an_out_that_is_its_own_csv_path(tmp_path, monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(cli, "commutator_report", lambda *a: calls.append(a))
-    out = tmp_path / "r.csv"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--input", _write_input(tmp_path), "--property", "normal",
-                  "--order", "9", "--out", str(out)])
-    assert exc.value.code == cli.EXIT_PARSE
-    assert "CSV table" in capsys.readouterr().err
-    assert calls == [] and not out.exists()
-
-
-@pytest.mark.parametrize("name,csv_name", [
-    ("r.json", "r.csv"),
-    ("r", "r.csv"),
-    ("r.txt.json", "r.txt.csv"),
-])
-def test_check_writes_the_json_report_and_the_csv_table_side_by_side(tmp_path, name, csv_name):
-    out = tmp_path / name
+def test_check_writes_only_its_json_report(tmp_path):
+    out = tmp_path / "r.json"
     code = cli.main(["check", "--input", _write_input(tmp_path), "--property", "normal",
-                     "--order", "9,16", "--out", str(out)])
+                     "--out", str(out)])
     assert code == cli.EXIT_OK
-    assert [r["order"] for r in json.loads(out.read_text(encoding="utf-8"))["reports"]] == [9, 16]
-    assert len((tmp_path / csv_name).read_text(encoding="utf-8").splitlines()) == 3
+    assert json.loads(out.read_text(encoding="utf-8"))["report"]["order"] == 9
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["circ.json", "r.json"]
 
 
 @pytest.mark.parametrize("argv,work", [
-    (["check", "--property", "normal", "--order", "9"], "commutator_report"),
+    (["check", "--property", "normal"], "commutator_report"),
     (["suite"], "run_suite"),
 ])
 def test_an_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, argv, work):

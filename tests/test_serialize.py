@@ -10,7 +10,6 @@ from toeplab.reducing import ReducingReport
 from toeplab.serialize import (
     SymbolFormatError,
     circulant_to_json,
-    convergence_csv,
     parse_circulant,
     parse_input,
     parse_matrix,
@@ -19,7 +18,7 @@ from toeplab.serialize import (
     scalar_to_json,
 )
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
-from toeplab.toeplitz import CommutatorReport, commutator_report
+from toeplab.toeplitz import CommutatorReport
 
 PHI = ScalarSymbol({-2: 0.3 + 0.1j, 0: 0.5, 1: 1.0 / 3.0})
 PSI = ScalarSymbol({1: -2.0j, 3: 1e-7})
@@ -189,15 +188,3 @@ def test_render_json_rejects_non_finite_floats(x):
     with pytest.raises(ValueError, match="non-finite"):
         render_json({"x": x})
 
-
-# ---------------------------------------------------------------------------
-# convergence table
-
-
-def test_convergence_csv_has_one_row_per_order():
-    z = ScalarSymbol.monomial(1)
-    reports = [commutator_report(z, "normal", n) for n in (3, 5)]
-    lines = convergence_csv(reports).splitlines()
-    assert lines[0] == "N,window_limit,window_norm"
-    assert lines[1:] == ["3,1,1", "5,3,1"]
-    assert convergence_csv(reports).endswith("\n")

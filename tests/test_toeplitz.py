@@ -10,7 +10,7 @@ from toeplab.circulant import (
     circulant_from_matrix_symbol,
     dft_unitary,
 )
-from toeplab.classify import inner_multiple_test
+from toeplab.classify import commuting_normal_family, inner_multiple_test
 from toeplab import toeplitz
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
 from toeplab.toeplitz import (
@@ -20,7 +20,9 @@ from toeplab.toeplitz import (
     _weighted_norm,
     commutator_matrix,
     commutator_report,
+    ToeplitzTruncation,
     conjugation_identity_check,
+    exact_order,
     truncate,
 )
 
@@ -234,6 +236,114 @@ def test_report_of_a_product_is_the_commutator_report():
     k = commutator_matrix(Z, "binormal", 4)
     with pytest.raises(WindowError):
         k.report("binormal", 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the exact order
+
+
+# factors of each product: its rounding error scales as (sum_n ||Phi_n||_2)^p
+FACTORS = {"normal": 2, "quasinormal": 3, "binormal": 4, "f-selfadjoint": 4}
+
+
+def _exact_order_corpus(rng):
+    """Scalar and d in {2, 4} symbols with w <= 3: generic ones, and ones for
+    which each property holds (real-valued scalars are normal, multiples of
+    powers of z quasinormal, commuting-normal circulants normal, diagonal
+    blocks of such multiples quasinormal)."""
+    corpus = []
+    for w in (1, 2, 3):
+        corpus.append(rand_scalar(rng, w))
+        f = rand_scalar(rng, w)
+        corpus.append(f + f.conj_reflect())
+        corpus.append(ScalarSymbol.monomial(int(rng.integers(-w, w + 1)), 1.5 - 0.5j))
+        for d in (2, 4):
+            corpus.append(rand_matrix(rng, d, w))
+            pairs = [(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)))
+                     for _ in range(d)]
+            rows = commuting_normal_family(f + f.conj_reflect(), pairs)
+            corpus.append(CirculantSymbol(rows).as_matrix_symbol())
+            corpus.append(MatrixSymbol.from_entries(
+                [[ScalarSymbol.monomial(int(rng.integers(0, w + 1)), 1.0 + i) if i == j
+                  else ScalarSymbol.zero() for j in range(d)] for i in range(d)]))
+    return corpus
+
+
+def test_the_default_order_is_exact_and_agrees_with_large_orders():
+    rng = np.random.default_rng(2025)
+    saw = {prop: set() for prop in MARGINS}
+    for phi in _exact_order_corpus(rng):
+        m = sum(float(np.linalg.norm(c, 2)) for _, c in
+                (phi.as_matrix() if isinstance(phi, ScalarSymbol) else phi).items())
+        for prop, margin in MARGINS.items():
+            if prop == "f-selfadjoint" and not isinstance(phi, ScalarSymbol):
+                continue
+            rep = commutator_report(phi, prop)
+            assert rep.order == exact_order(margin(phi.bandwidth)) == 2 * margin(phi.bandwidth) + 1
+            for n in (64, 128):
+                far = commutator_report(phi, prop, n)
+                assert far.verdict == rep.verdict
+                # within 1e-12 relative to the size of the product's terms
+                assert abs(far.window_norm - rep.window_norm) <= 1e-12 * max(
+                    far.window_norm, rep.window_norm, m ** FACTORS[prop])
+            saw[prop].add(rep.verdict)
+    assert all(verdicts == {VERDICT_CLEAN, VERDICT_VIOLATED} for verdicts in saw.values())
+
+
+@pytest.mark.parametrize("phi,violated", [
+    (ScalarSymbol.zero(), set()),
+    (ScalarSymbol.constant(2.0 - 1.0j), set()),
+    (MatrixSymbol.zero(2), set()),
+    (MatrixSymbol.identity(3), set()),
+    # a constant nilpotent N: N*N = diag(0, 1) and NN* = diag(1, 0) commute,
+    # but neither commutes with N
+    (MatrixSymbol(2, {0: np.array([[0.0, 1.0], [0.0, 0.0]])}), {"normal", "quasinormal"}),
+], ids=["zero", "constant", "zero-2x2", "identity-3x3", "nilpotent-2x2"])
+def test_the_default_order_never_leaves_an_empty_window(phi, violated):
+    for prop, margin in MARGINS.items():
+        if prop == "f-selfadjoint" and not isinstance(phi, ScalarSymbol):
+            continue
+        k = commutator_matrix(phi, prop)
+        assert k.order == exact_order(k.margin) == 2 * margin(0) + 1
+        rep = k.report(prop, 1e-8)
+        assert rep.window_limit == (margin(0) + 1) * k.block_dim
+        assert rep.verdict == (VERDICT_VIOLATED if prop in violated else VERDICT_CLEAN)
+
+
+def test_an_explicit_order_builds_the_same_products():
+    rng = np.random.default_rng(11)
+    phi = rand_matrix(rng, 2, 2)
+    for prop in ("normal", "quasinormal", "binormal"):
+        k = commutator_matrix(phi, prop)
+        again = commutator_matrix(phi, prop, k.order)
+        assert (again.order, again.margin) == (k.order, k.margin)
+        assert np.array_equal(again.strips, k.strips)
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.nan)])
+def test_a_non_finite_window_entry_raises(row, bad):
+    # margin 1 at order 8: rows 0-5 hold whole strips in the window, row 6 part
+    t = truncate(ONE + Z, 8)
+    strips = t.strips.copy()
+    strips[row, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        ToeplitzTruncation(8, 1, 1, strips).window_max_abs()
+    assert not isinstance(exc.value, WindowError)
+    # row 7 lies outside the window, so an entry there is never read
+    strips = t.strips.copy()
+    strips[7, 0, 1] = bad
+    assert ToeplitzTruncation(8, 1, 1, strips).window_max_abs() == 1.0
+
+
+def test_an_overflowing_product_gives_no_verdict():
+    # 1 + z is not binormal; at 1e77 its binormal product overflows, and the
+    # nan it leaves must not read as a clean window
+    with pytest.warns(RuntimeWarning):  # numpy's overflow warnings
+        with pytest.raises(ValueError, match="non-finite"):
+            commutator_report(1e77 * (ONE + Z), "binormal", 16)
+    rep = commutator_report(3e76 * (ONE + Z), "binormal", 16)
+    assert rep.verdict == VERDICT_VIOLATED and np.isfinite(rep.window_norm)
 
 
 # ---------------------------------------------------------------------------
