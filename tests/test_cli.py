@@ -59,6 +59,18 @@ def test_check_reports_at_the_exact_order_of_its_product(tmp_path, prop, margin)
     assert report["report"]["property"] == prop
 
 
+def test_check_normal_just_above_its_margin(tmp_path):
+    # a constant symbol has w = 0, so its exact order 2W + 1 = 1 sits just above the
+    # normal product's margin 0: one exact block in the window
+    nilpotent = {"dim": 2, "coeffs": {"0": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}}
+    code, report = _run(tmp_path, "check", "--input", _write_input(tmp_path, nilpotent, "n.json"),
+                        "--property", "normal")
+    assert code == cli.EXIT_OK
+    assert report["report"]["order"] == 1
+    assert report["report"]["window_limit"] == 2
+    assert report["report"]["verdict"] == "violated"
+
+
 def test_check_takes_no_order(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["check", "--input", _write_input(tmp_path), "--property", "normal",
