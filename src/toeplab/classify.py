@@ -8,16 +8,19 @@ coefficients.  The window-based reports in ``toeplab.toeplitz`` provide the
 independent numeric counterpart; tests and the acceptance suite require the
 two routes to agree.
 
-The 2x2-block checks read every entry operator, product block, residual
-and commutator report from one section of the block symbol: entries with
-``ToeplitzTruncation.entry``, reports with ``ToeplitzTruncation.report`` on
-the products already formed, at order 8w + 1: exact for T(Phi) itself.
+The 2x2-block checks decide their side conditions from coefficients: the
+shape a special case demands, and the commuting-normal hypothesis on the
+entries, by Brown-Halmos.  The paper's identities and the binormal and
+normal reports are read from one section T of the block symbol at order
+8w + 1, exact for T(Phi) itself: entries with ``ToeplitzTruncation.entry``,
+reports with ``ToeplitzTruncation.report`` on the products already formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .circulant import CirculantSymbol, circulant_eigen_symbols
@@ -45,10 +48,11 @@ class ClassificationCertificate:
         return asdict(self)
 
 
-def autocorrelation(phi: ScalarSymbol, scale: float = 1.0) -> dict[int, complex]:
+def autocorrelation(phi: ScalarSymbol, exp2: int = 0) -> dict[int, complex]:
     """r_j = sum_k c_{k+j} * conj(c_k) for all lags j with support overlap,
-    of the coefficients c of phi / scale."""
-    coeffs = [(n, c / scale) for n, c in phi.items()]
+    of the coefficients c of phi / 2^exp2, scaled exactly by ``math.ldexp``."""
+    coeffs = [(n, complex(math.ldexp(c.real, -exp2), math.ldexp(c.imag, -exp2)))
+              for n, c in phi.items()]
     out: dict[int, complex] = {}
     for n, a in coeffs:
         for m, b in coeffs:
@@ -67,29 +71,23 @@ def inner_multiple_test(phi: ScalarSymbol) -> ClassificationCertificate:
     |phi|^2 on the circle has Fourier coefficient r_j at frequency j, so the
     modulus is constant exactly when every nonzero lag vanishes; the constant
     square modulus is then r_0 and phi is a constant multiple of an inner
-    function.  The lags are decided on phi / m, m the power of two just
+    function.  The lags are decided on phi / 2^e, 2^e the power of two just
     above the largest coefficient modulus, so that no r_j overflows and the
-    scaling is exact; the witness is in phi's own units, m^2 r_j.
+    scaling is exact.  The witness is that r_j with ``exp2`` = 2e: in phi's
+    own units it is r_j 2^exp2, which may exceed the float range.
     """
     if not phi.is_analytic():
         raise ValueError("inner_multiple_test requires an analytic symbol")
-    m = math.ldexp(1.0, math.frexp(phi.max_modulus_coeff())[1])
-    r = autocorrelation(phi, m)
+    e = math.frexp(phi.max_modulus_coeff())[1]
+    r = autocorrelation(phi, e)
     r0 = r.get(0, 0j).real
     tol = COEFF_REL_TOL * r0
     bad = sorted(j for j, v in r.items() if j > 0 and abs(v) > tol)
-    if not bad:
-        return ClassificationCertificate(
-            verdict="binormal",
-            method="inner_multiple",
-            witness={"constant_modulus_sq": r0 * m * m},
-        )
-    lag = bad[0]
-    return ClassificationCertificate(
-        verdict="not_binormal",
-        method="inner_multiple",
-        witness={"lag": lag, "autocorrelation": r[lag] * m * m},
-    )
+    if bad:
+        witness = {"lag": bad[0], "autocorrelation": r[bad[0]], "exp2": 2 * e}
+    else:
+        witness = {"constant_modulus_sq": r0, "exp2": 2 * e}
+    return ClassificationCertificate("not_binormal" if bad else "binormal", "inner_multiple", witness)
 
 
 def coanalytic_inner_multiple_test(phi: ScalarSymbol) -> ClassificationCertificate:
@@ -97,9 +95,7 @@ def coanalytic_inner_multiple_test(phi: ScalarSymbol) -> ClassificationCertifica
     if not phi.is_coanalytic():
         raise ValueError("coanalytic_inner_multiple_test requires a coanalytic symbol")
     cert = inner_multiple_test(phi.conj_reflect())
-    witness = dict(cert.witness or {})
-    witness["reflected"] = True
-    return ClassificationCertificate(cert.verdict, cert.method, witness)
+    return ClassificationCertificate(cert.verdict, cert.method, {**cert.witness, "reflected": True})
 
 
 def brown_halmos_normal_test(phi: ScalarSymbol) -> ClassificationCertificate:
@@ -202,39 +198,39 @@ def commuting_normal_family(
     """
     if f.conj_reflect().max_coeff_diff(f) > _zero_tol(f):
         raise ValueError("f must be real-valued on the circle (c_{-n} = conj(c_n))")
-    out = []
-    for alpha, beta in pairs:
-        out.append(alpha * f + ScalarSymbol.constant(beta))
-    return out
+    return [alpha * f + ScalarSymbol.constant(beta) for alpha, beta in pairs]
 
 
-def _block_section(
-    phis: Sequence[ScalarSymbol],
-) -> tuple[ToeplitzTruncation, list[ToeplitzTruncation]]:
-    """The section of the 2x2 block symbol and its four entries, in the
-    order of ``phis``: (0, 0), (0, 1), (1, 0), (1, 1).  The order is
-    ``exact_order(4w)`` = 8w + 1, w the block's bandwidth: no check reads a
-    margin above 4w (K, x, cor52ii's t1 skew and s2 s2), and from order
-    2W + 1 on the window of a margin-W product holds every entry of its
-    infinite operator (``toeplab.toeplitz``).
+def _block_section(phis: Sequence[ScalarSymbol]) -> ToeplitzTruncation:
+    """The section of the 2x2 block symbol with entries ``phis`` in the order
+    (0, 0), (0, 1), (1, 0), (1, 1).  The order is ``exact_order(4w)`` =
+    8w + 1, w the block's bandwidth: no check reads a margin above 4w (K, x,
+    cor52ii's t1 skew and s2 s2), and from order 2W + 1 on the window of a
+    margin-W product holds every entry of its infinite operator
+    (``toeplab.toeplitz``).
     """
     block = MatrixSymbol.from_entries([[phis[0], phis[1]], [phis[2], phis[3]]])
-    t = truncate(block, exact_order(4 * block.bandwidth))
-    return t, [t.entry(a, b) for a in (0, 1) for b in (0, 1)]
+    return truncate(block, exact_order(4 * block.bandwidth))
 
 
-def _check_commuting_normal(ts: Sequence[ToeplitzTruncation], tolerance: float) -> None:
-    for i, t in enumerate(ts):
-        resid = (t.adjoint() @ t - t @ t.adjoint()).window_max_abs()
-        if resid > tolerance:
-            raise ValueError(f"symbol {i + 1} is not normal (residual {resid:.3e})")
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            resid = (ts[i] @ ts[j] - ts[j] @ ts[i]).window_max_abs()
-            if resid > tolerance:
-                raise ValueError(
-                    f"symbols {i + 1} and {j + 1} do not commute (residual {resid:.3e})"
-                )
+def _check_commuting_normal(phis: Sequence[ScalarSymbol]) -> None:
+    """Refuse entries that do not generate mutually commuting normal Toeplitz
+    operators: each must be normal by ``brown_halmos_normal_test``, and each
+    pair's non-constant parts u, v parallel, every minor u_n v_m - u_m v_n of
+    u / max|u| and v / max|v| within ``COEFF_REL_TOL`` (Brown-Halmos)."""
+    parts = []
+    for i, phi in enumerate(phis, 1):
+        cert = brown_halmos_normal_test(phi)
+        if cert.verdict != "normal":
+            raise ValueError(f"symbol {i} is not normal (Brown-Halmos, index {cert.witness['index']})")
+        u = {n: c for n, c in phi.items() if n != 0}
+        top = max(map(abs, u.values()), default=1.0)
+        parts.append({n: c / top for n, c in u.items()})
+    for (i, u), (j, v) in combinations(enumerate(parts, 1), 2):
+        for n, m in combinations(sorted(u.keys() | v.keys()), 2):
+            if abs(u.get(n, 0j) * v.get(m, 0j) - u.get(m, 0j) * v.get(n, 0j)) > COEFF_REL_TOL:
+                raise ValueError(f"symbols {i} and {j} do not commute (non-constant parts "
+                                 f"not parallel at indices {n}, {m})")
 
 
 @dataclass(frozen=True)
@@ -288,18 +284,18 @@ def block2_condition_system(
 
     The entries (phi_1, phi_2, phi_3, phi_4) must generate mutually commuting
     normal Toeplitz operators (as produced by ``commuting_normal_family``);
-    this is checked and violations raise.  Everything is read from one
-    section T of the block at order 8w + 1, exact for T(Phi): the six
-    quadratic operators are entries of T* T and T T*, system B (with the third
-    line it shares with system A) is the (0, 0), (1, 1) and (0, 1) entries of
-    K = [T* T, T T*], and the binormal and normal reports are those of K and
-    T* T - T T*.
+    this is decided from their coefficients, and violations raise before any
+    section is built.  Everything else is read from one section T of the
+    block at order 8w + 1, exact for T(Phi): the six quadratic operators are
+    entries of T* T and T T*, system B (with the third line it shares with
+    system A) is the (0, 0), (1, 1) and (0, 1) entries of K = [T* T, T T*],
+    and the binormal and normal reports are those of K and T* T - T T*.
     """
     phis = list(phis)
     if len(phis) != 4:
         raise ValueError("expected four scalar symbols (phi_1 .. phi_4)")
-    t, entries = _block_section(phis)
-    _check_commuting_normal(entries, tolerance)
+    _check_commuting_normal(phis)
+    t = _block_section(phis)
 
     ts = t.adjoint()
     tst, tts = ts @ t, t @ ts
@@ -312,7 +308,7 @@ def block2_condition_system(
     a2 = (y - y.adjoint()).window_max_abs()
     offdiag = k.entry(0, 1).window_max_abs()
 
-    _, b, c, _ = entries
+    b, c = t.entry(0, 1), t.entry(1, 0)
     n1 = (c.adjoint() @ c - b @ b.adjoint()).window_max_abs()
     n2 = (b.adjoint() @ b - c @ c.adjoint()).window_max_abs()
     n3 = (t2 - s2).window_max_abs()
@@ -343,11 +339,12 @@ def special_case_checks(
     """Structured checks for the documented special 2x2 block shapes.
 
     Always takes the four entry symbols (phi_1, phi_2, phi_3, phi_4) and
-    validates the shape the case demands before evaluating its displayed
-    identity alongside the direct verdicts.  Every case reads its entries,
-    products and reports from one section T of the block at the ``order``
-    8w + 1, exact for T(Phi): the binormal report from [T* T, T T*], the
-    normal report from T* T - T T*.
+    validates the shape the case demands, and for cor52i, cor52ii and
+    cor53ii the commuting-normal hypothesis from coefficients, before
+    evaluating its displayed identity alongside the direct verdicts.  Every
+    case reads its entries, products and reports from one section T of the
+    block at the ``order`` 8w + 1, exact for T(Phi): the binormal report
+    from [T* T, T T*], the normal report from T* T - T T*.
     """
     phis = list(phis)
     if len(phis) != 4:
@@ -369,9 +366,11 @@ def special_case_checks(
         if not _is_constant_one(p2):
             raise ValueError("ex54b requires phi_2 = 1")
 
-    t, entries = _block_section(phis)
+    if case in ("cor52i", "cor52ii", "cor53ii"):
+        _check_commuting_normal(phis)
+    t = _block_section(phis)
     out: dict = {"case": case, "order": t.order, "tolerance": tolerance}
-    _, b, c, _ = entries
+    b, c = t.entry(0, 1), t.entry(1, 0)
     ts = t.adjoint()
     tst, tts = ts @ t, t @ ts
     if case in ("ex54a", "ex54b"):
@@ -390,7 +389,6 @@ def special_case_checks(
             out["consistent"] = out["unitary_like"] == (nrep.verdict == VERDICT_CLEAN)
         return out
 
-    _check_commuting_normal(entries, tolerance)
     if case == "cor53ii":
         psi = p1 + p4.conj_reflect()
         real_resid = psi.conj_reflect().max_coeff_diff(psi)

@@ -66,10 +66,6 @@ class OrthogonalProjector:
             scale * float(np.linalg.norm(p @ p - p)),
         )
 
-    def is_valid(self, tol: float = PROJECTOR_TOL) -> bool:
-        h, i = self.invariant_residuals()
-        return h <= tol and i <= tol
-
 
 def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)

@@ -240,16 +240,6 @@ class MatrixSymbol:
         """Pointwise adjoint on the circle: coefficient at n is (coeff at -n)*."""
         return MatrixSymbol(self._dim, {-n: mat.conj().T for n, mat in self._coeffs.items()})
 
-    def analytic_split(self) -> tuple["MatrixSymbol", "MatrixSymbol"]:
-        """Split into (minus, plus) with self == adjoint(z * minus) + plus.
-
-        Both parts are analytic: ``plus`` carries the indices n >= 0 verbatim,
-        ``minus`` carries coefficient (coeff at -(m+1))* at index m.
-        """
-        plus = {n: mat for n, mat in self._coeffs.items() if n >= 0}
-        minus = {-n - 1: mat.conj().T for n, mat in self._coeffs.items() if n < 0}
-        return MatrixSymbol(self._dim, minus), MatrixSymbol(self._dim, plus)
-
     def _require_same_dim(self, other: "MatrixSymbol") -> None:
         if self._dim != other._dim:
             raise ValueError(f"dimension mismatch: {self._dim} vs {other._dim}")

@@ -130,10 +130,6 @@ class ToeplitzTruncation:
     def window_limit(self) -> int:
         return max(self.order - self.margin, 0) * self.block_dim
 
-    def window_view(self) -> np.ndarray:
-        lim = self.window_limit
-        return self.data[:lim, :lim]
-
     def window_max_abs(self) -> float:
         """Largest |entry| of the window, read from the band inside it; an
         empty window raises ``WindowError``, a non-finite entry ``ValueError``."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from toeplab.classify import (
     scalar_binormal_classify,
     special_case_checks,
 )
+from toeplab.serialize import render_json
 from toeplab.suite import classifier_corpus
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
 from toeplab.toeplitz import VERDICT_CLEAN, VERDICT_VIOLATED, commutator_report, truncate
@@ -32,14 +35,14 @@ F_REAL = Z + ZBAR
 def test_inner_monomial_is_binormal_with_constant_modulus():
     cert = inner_multiple_test(ScalarSymbol.monomial(2, 3.0))
     assert cert.verdict == "binormal"
-    assert cert.witness["constant_modulus_sq"] == pytest.approx(9.0)
+    assert cert.witness["constant_modulus_sq"] * 2.0 ** cert.witness["exp2"] == pytest.approx(9.0)
 
 
 def test_inner_one_plus_z_fails_at_lag_one():
     cert = inner_multiple_test(ONE + Z)
     assert cert.verdict == "not_binormal"
     assert cert.witness["lag"] == 1
-    assert cert.witness["autocorrelation"] == pytest.approx(1.0)
+    assert cert.witness["autocorrelation"] * 2.0 ** cert.witness["exp2"] == pytest.approx(1.0)
 
 
 def test_inner_gapped_symbol_fails_at_lag_two():
@@ -59,17 +62,20 @@ def test_inner_gapped_symbol_fails_at_lag_two():
 
 
 # 1e-14 rather than smaller: ScalarSymbol drops coefficients below 1e-15
-@pytest.mark.parametrize("s", [1e-14, 1.0, 1e154, 1e300])
+@pytest.mark.parametrize("s", [1e-14, 1.0, 1e154, 1e300, 2.0 ** 1023, 1.7e308])
 def test_inner_multiple_verdicts_do_not_depend_on_scale(s):
-    # r_1 of s (1 + z) is s^2, which overflows from s ~ 1.3e154 on; the lags
-    # are decided on phi / m and the witness carries m^2 again
+    # r_1 of s (1 + z) is s^2, which overflows from s ~ 1.3e154 on, and 2^e
+    # itself from s >= 2^1023 on; the lags are decided on phi / 2^e and the
+    # witness is r_j of phi / 2^e with exp2 = 2e
+    e = math.frexp(s)[1]
     cert = scalar_binormal_classify(s * (ONE + Z))
     assert cert.verdict == "not_binormal" and cert.witness["lag"] == 1
     cube = scalar_binormal_classify(ScalarSymbol.monomial(3, s))
     assert cube.verdict == "binormal"
-    if s * s < np.inf:
-        assert cert.witness["autocorrelation"] == pytest.approx(s * s)
-        assert cube.witness["constant_modulus_sq"] == pytest.approx(s * s)
+    assert cert.witness["exp2"] == cube.witness["exp2"] == 2 * e
+    assert cert.witness["autocorrelation"] == pytest.approx(math.ldexp(s, -e) ** 2)
+    assert cube.witness["constant_modulus_sq"] == pytest.approx(math.ldexp(s, -e) ** 2)
+    render_json({"binormal": cert.to_json(), "cube": cube.to_json()})
 
 
 def test_inner_rejects_non_analytic():
@@ -449,6 +455,24 @@ def test_block_check_reports_equal_the_commutator_report_of_the_block():
 def test_condition_system_rejects_non_normal_entries():
     with pytest.raises(ValueError):
         block2_condition_system([Z, ONE, ONE, Z], 1e-8)
+
+
+def test_block_checks_refuse_normal_entries_that_do_not_commute():
+    # both normal, but the non-constant parts (1, 1) and (-i, i) at -1, 1
+    # are not parallel: T(f) T(g) != T(g) T(f)
+    f, g = F_REAL, ScalarSymbol({1: 1j, -1: -1j})
+    with pytest.raises(ValueError, match="do not commute"):
+        block2_condition_system([f, g, f, g], 1e-8)
+    with pytest.raises(ValueError, match="do not commute"):
+        special_case_checks([f, ONE, ONE, g], "cor52ii", 1e-8)
+
+
+@pytest.mark.parametrize("s", [1e4, 1e5])
+def test_block_checks_accept_scaled_commuting_normal_entries(s):
+    # the hypothesis is a fact about coefficients, so scale cannot break it
+    a, b, c, d = (s * p for p in _family(np.random.default_rng(45)))
+    assert block2_condition_system([a, b, c, d], 1e-8).order == 9
+    assert special_case_checks([a, ONE, ONE, b], "cor52ii", 1e-8)["order"] == 9
 
 
 def test_condition_system_rejects_wrong_arity():

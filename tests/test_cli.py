@@ -152,6 +152,17 @@ def test_classify_reports_circulant_and_scalar(tmp_path):
     assert report["normal"]["verdict"] == "not_normal"
 
 
+@pytest.mark.parametrize("coeffs", [
+    {"3": [[[1e200, 0.0]]]},                          # r_0 = 1e400 in the symbol's units
+    {"1": [[[1e308, 0.0]]], "2": [[[1e308, 0.0]]]},  # 2^e, e = 1024, is no float
+])
+def test_classify_reports_an_extreme_scale_analytic_symbol(tmp_path, coeffs):
+    path = _write_input(tmp_path, {"dim": 1, "coeffs": coeffs}, "big.json")
+    code, report = _run(tmp_path, "classify", "--input", path)
+    assert code == cli.EXIT_OK
+    assert report["binormal"]["verdict"] == ("binormal" if len(coeffs) == 1 else "not_binormal")
+
+
 def test_gamma_reports(tmp_path):
     code, report = _run(tmp_path, "gamma", "--input", _write_input(tmp_path))
     assert code == cli.EXIT_OK

@@ -5,6 +5,7 @@ import pytest
 
 from toeplab.circulant import CirculantSymbol
 from toeplab.reducing import (
+    PROJECTOR_TOL,
     OrthogonalProjector,
     projection_intertwine_check,
     reducing_projectors,
@@ -62,7 +63,7 @@ def test_projector_ranks_and_invariants():
     assert [p.rank for p in projs] == [12, 12]
     for p in projs:
         assert p.ambient_dim == 24
-        assert p.is_valid()
+        assert max(p.invariant_residuals()) <= PROJECTOR_TOL
 
 
 def test_matrix_is_the_kron_of_the_block_bitwise():
@@ -86,7 +87,7 @@ def test_matrix_is_the_kron_of_the_block_bitwise():
     m = junk.matrix
     dense = (np.linalg.norm(m - m.conj().T), np.linalg.norm(m @ m - m))
     assert junk.invariant_residuals() == pytest.approx(dense, rel=1e-12)
-    assert not junk.is_valid()
+    assert max(junk.invariant_residuals()) > PROJECTOR_TOL
 
 
 def test_projectors_and_their_verification_stay_small_at_order_one_million():
