@@ -109,7 +109,7 @@ def theorem41_probe(
 
     * the compression identity: reading off the first two components of every
       block of the dilated section must reproduce the psi11 section exactly
-      (it is a sub-block read-off);
+      (it is a sub-block read-off), decided lag by lag from the coefficients;
     * the sorted singular values of the psi11 and lambda11 sections, whose
       maximum gap decides the consistent/inconsistent verdict;
     * the residual of the one natural candidate conjugation, blockwise
@@ -118,12 +118,14 @@ def theorem41_probe(
     if phi.dim != 2:
         raise ValueError(f"probe is defined for 2 x 2 symbols, got dim {phi.dim}")
     psi11, _, lam11, _ = psi_lambda_blocks(phi)
-    big = truncate(gamma(phi).circulant.as_matrix_symbol(), order)
-    sel = np.array([b * 4 + c for b in range(order) for c in (0, 1)])
-    compression = big.data[np.ix_(sel, sel)]
+    # block (i, j) of a section is the coefficient at i - j, so the compression
+    # of the dilated section is the psi11 section exactly when their
+    # coefficients' [0:2, 0:2] components agree at every lag |n| < order
+    big = gamma(phi).circulant.as_matrix_symbol()
+    lags = {n for n in (*big.support, *psi11.support) if abs(n) < order}
+    compression_exact = all(np.array_equal(big.coeff(n)[:2, :2], psi11.coeff(n)) for n in lags)
     t_psi = truncate(psi11, order).data
     t_lam = truncate(lam11, order).data
-    compression_exact = bool(np.array_equal(compression, t_psi))
 
     sv_psi = np.linalg.svd(t_psi, compute_uv=False)
     sv_lam = np.linalg.svd(t_lam, compute_uv=False)

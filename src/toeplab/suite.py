@@ -1,17 +1,22 @@
 """Seeded acceptance corpus: every shipped claim, checked at desk scale.
 
-Each criterion function is deterministic for a given seed, returns a
-``CriterionResult`` with JSON-renderable details, and is consumed both by the
-test suite (one test per criterion) and by the CLI ``suite`` command.
+Each criterion function is a deterministic claim: for a given seed it
+returns the same ``CriterionResult``, with JSON-renderable details, on any
+host.  No verdict reads the time; ``run_suite`` times each criterion call and
+records it as the result's ``elapsed``.  The criteria are consumed both by
+the test suite (one test per criterion) and by the CLI ``suite`` command.
 Commutator checks (criteria 3-5) run at each product's exact order 2W + 1
 (``toeplitz.exact_order``), so their verdicts are about T(Phi) itself; the
-sections of criteria 2, 8 and 9 keep their stated orders.
+sections of criteria 2, 8 and 9 keep their stated orders.  Criterion 9
+always compares its gap data with the committed
+``reference/theorem41_gaps.json`` (``REFERENCE_PATH``), and fails without it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -24,12 +29,8 @@ from .classify import (
     special_case_checks,
 )
 from .dilation import gamma, gamma_adjoint, theorem41_probe
-from .reducing import (
-    projection_intertwine_check,
-    reducing_projectors,
-    resolution_residual,
-    verify_reducing,
-)
+from .reducing import reducing_projectors, resolution_residual, verify_reducing
+from .serialize import render_json
 from .symbols import MatrixSymbol, ScalarSymbol
 from .toeplitz import (
     VERDICT_CLEAN,
@@ -40,6 +41,9 @@ from .toeplitz import (
 )
 
 ACCEPTANCE_SEED = 74025
+
+# criterion 9's committed gap data, at the root of the checkout that holds src/toeplab
+REFERENCE_PATH = Path(__file__).resolve().parents[2] / "reference" / "theorem41_gaps.json"
 
 NUMERIC_TOL = 1e-8
 RESIDUAL_TOL = 1e-10
@@ -189,43 +193,35 @@ def theorem41_fixtures() -> list[tuple[str, MatrixSymbol]]:
 
 def criterion_diagonalization(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     """64 random circulants diagonalize coefficientwise, lag by lag."""
-    start = time.perf_counter()
     rng = _rng(seed, 1)
     residuals = [diagonalize_check(c) for c in diagonalization_corpus(rng)]
-    elapsed = time.perf_counter() - start
     worst = max(residuals)
-    passed = worst <= RESIDUAL_TOL and elapsed < 5.0
     return CriterionResult(
         1,
         "circulant diagonalization residual <= 1e-10 coefficientwise, 64 fixtures",
-        passed,
-        {"count": len(residuals), "max_residual": worst, "budget_seconds": 5.0},
-        elapsed,
+        worst <= RESIDUAL_TOL,
+        {"count": len(residuals), "max_residual": worst},
     )
 
 
 def criterion_conjugation_identity(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     """Same corpus: blockwise conjugation carries the section onto the diagonal one."""
-    start = time.perf_counter()
     rng = _rng(seed, 1)  # same corpus as criterion 1
     residuals = [
         conjugation_identity_check(c.as_matrix_symbol(), 32)
         for c in diagonalization_corpus(rng)
     ]
-    elapsed = time.perf_counter() - start
     worst = max(residuals)
     return CriterionResult(
         2,
         "truncation conjugation identity residual <= 1e-10 at N=32, 64 fixtures",
         worst <= RESIDUAL_TOL,
         {"count": len(residuals), "max_residual": worst, "order": 32},
-        elapsed,
     )
 
 
 def criterion_binormality_transfer(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     """Block binormal verdict equals the aggregate of eigenvalue-symbol verdicts."""
-    start = time.perf_counter()
     rng = _rng(seed, 3)
     disagreements = []
     fixtures = transfer_corpus(rng)
@@ -238,7 +234,6 @@ def criterion_binormality_transfer(seed: int = ACCEPTANCE_SEED) -> CriterionResu
         aggregate_clean = all(r.verdict == VERDICT_CLEAN for r in per)
         if (block.verdict == VERDICT_CLEAN) != aggregate_clean:
             disagreements.append(i)
-    elapsed = time.perf_counter() - start
     return CriterionResult(
         3,
         "binormality transfer: block verdict == aggregate eigenvalue verdicts, 32 fixtures",
@@ -248,13 +243,11 @@ def criterion_binormality_transfer(seed: int = ACCEPTANCE_SEED) -> CriterionResu
             "tolerance": NUMERIC_TOL,
             "disagreements": disagreements,
         },
-        elapsed,
     )
 
 
 def criterion_classifier_agreement(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     """Coefficient-level classifiers agree with window commutator verdicts."""
-    start = time.perf_counter()
     rng = _rng(seed, 4)
     corpus = classifier_corpus(rng, 200)
     binormal_disagreements = []
@@ -268,26 +261,21 @@ def criterion_classifier_agreement(seed: int = ACCEPTANCE_SEED) -> CriterionResu
         numeric_n = commutator_report(sym, "normal", tolerance=NUMERIC_TOL)
         if (bh.verdict == "normal") != (numeric_n.verdict == VERDICT_CLEAN):
             normal_disagreements.append({"index": i, "kind": kind})
-    elapsed = time.perf_counter() - start
-    passed = not binormal_disagreements and not normal_disagreements and elapsed < 30.0
     return CriterionResult(
         4,
         "exact-vs-numeric classifier agreement on 200 seeded polynomials",
-        passed,
+        not binormal_disagreements and not normal_disagreements,
         {
             "count": len(corpus),
             "tolerance": NUMERIC_TOL,
             "binormal_disagreements": binormal_disagreements,
             "normal_disagreements": normal_disagreements,
-            "budget_seconds": 30.0,
         },
-        elapsed,
     )
 
 
 def criterion_known_fixtures(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     """Hand-computed fixtures come out exactly as derived."""
-    start = time.perf_counter()
     z = ScalarSymbol.monomial(1)
     one = ScalarSymbol.constant(1.0)
     zero = ScalarSymbol.zero()
@@ -317,19 +305,16 @@ def criterion_known_fixtures(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     ex_b = special_case_checks([zero, one, z, zero], "ex54b", NUMERIC_TOL)
     checks["antidiagonal_binormal"] = ex_b["binormal_report"]["verdict"] == VERDICT_CLEAN
 
-    elapsed = time.perf_counter() - start
     return CriterionResult(
         5,
         "known-value fixtures (shift, 1+z, real symbol, corner blocks)",
         all(checks.values()),
         {"checks": checks},
-        elapsed,
     )
 
 
 def criterion_gamma_roundtrip(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     """Flatten/unflatten is exactly n^2 times the identity, and exactly linear."""
-    start = time.perf_counter()
     rng = _rng(seed, 6)
     worst_roundtrip = 0.0
     worst_linearity = 0.0
@@ -345,20 +330,17 @@ def criterion_gamma_roundtrip(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
             for k in range(n * n):
                 rhs_k = alpha * ga.row[k] + gb.row[k]
                 worst_linearity = max(worst_linearity, lhs.row[k].max_coeff_diff(rhs_k))
-    elapsed = time.perf_counter() - start
     passed = worst_roundtrip == 0.0 and worst_linearity == 0.0
     return CriterionResult(
         6,
         "dilation round trip n^2-exact and linear, n in {2,3}, 32 fixtures each",
         passed,
         {"max_roundtrip_diff": worst_roundtrip, "max_linearity_diff": worst_linearity},
-        elapsed,
     )
 
 
 def criterion_condition_system(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     """Three-line system verdicts match direct block binormality on 32 families."""
-    start = time.perf_counter()
     rng = _rng(seed, 7)
     fs = [random_real_symbol(rng) for _ in range(8)]
     inconsistent = []
@@ -381,7 +363,6 @@ def criterion_condition_system(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
             rep = block2_condition_system(phis, NUMERIC_TOL)
             if rep.system_a != (0.0, 0.0, 0.0) or rep.binormal_report.verdict != VERDICT_CLEAN:
                 corner_failures.append({"f_index": i, "shape": tag})
-    elapsed = time.perf_counter() - start
     passed = not inconsistent and not corner_failures
     return CriterionResult(
         7,
@@ -393,13 +374,11 @@ def criterion_condition_system(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
             "corner_failures": corner_failures,
             "tolerance": NUMERIC_TOL,
         },
-        elapsed,
     )
 
 
 def criterion_reducing_subspaces(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
-    """Fourier projectors reduce circulant truncations; intertwining identity holds."""
-    start = time.perf_counter()
+    """Fourier projectors reduce circulant truncations and resolve the identity."""
     rng = _rng(seed, 8)
     order = 32
     sizes = (2, 3, 4, 8)
@@ -414,35 +393,18 @@ def criterion_reducing_subspaces(seed: int = ACCEPTANCE_SEED) -> CriterionResult
             rep = verify_reducing(p, sym, order, RESIDUAL_TOL)
             if rep.verdict != "reducing":
                 failures.append({"fixture": i, "projector": k, "problem": "commutator"})
-
-    worst_intertwine = 0.0
-    for trial in range(100):
-        m = int(rng.integers(2, 17))
-        k = int(rng.integers(1, m))
-        resid = projection_intertwine_check(m, k, seed=int(rng.integers(0, 2**31)))
-        worst_intertwine = max(worst_intertwine, resid)
-    elapsed = time.perf_counter() - start
-    passed = not failures and worst_intertwine <= RESIDUAL_TOL
     return CriterionResult(
         8,
-        "reducing projectors commute and resolve identity; intertwining <= 1e-10",
-        passed,
-        {
-            "fixtures": 32,
-            "order": order,
-            "failures": failures,
-            "max_intertwine_residual": worst_intertwine,
-            "trials": 100,
-        },
-        elapsed,
+        "reducing projectors commute and resolve identity",
+        not failures,
+        {"fixtures": 32, "order": order, "failures": failures},
     )
 
 
 def criterion_dilation_probe(
-    seed: int = ACCEPTANCE_SEED, reference_path: str | None = None
+    seed: int = ACCEPTANCE_SEED, reference_path: str | Path = REFERENCE_PATH
 ) -> CriterionResult:
-    """Compression identity exact on all fixtures; gap data recorded, not judged."""
-    start = time.perf_counter()
+    """Compression identity exact on all fixtures; gap data equal to the reference."""
     order = 32
     rows = []
     all_exact = True
@@ -451,28 +413,16 @@ def criterion_dilation_probe(
         all_exact = all_exact and rep.compression_exact
         rows.append({"name": name, **rep.to_json()})
     payload = {"order": order, "tolerance": NUMERIC_TOL, "fixtures": rows}
-
-    reference_matches = None
-    if reference_path is not None:
-        from .serialize import render_json
-
-        try:
-            with open(reference_path, encoding="utf-8") as fh:
-                on_disk = fh.read()
-            reference_matches = on_disk == render_json(payload) + "\n"
-        except OSError:
-            reference_matches = False
-    elapsed = time.perf_counter() - start
-    passed = all_exact and reference_matches is not False
-    details = {"compression_exact": all_exact, "gap_data": payload}
-    if reference_matches is not None:
-        details["reference_matches"] = reference_matches
+    try:
+        on_disk = Path(reference_path).read_text(encoding="utf-8")
+    except OSError:
+        on_disk = None
+    reference_matches = on_disk == render_json(payload) + "\n"
     return CriterionResult(
         9,
         "dilation probe: compression identity exact; singular-value gaps recorded",
-        passed,
-        details,
-        elapsed,
+        all_exact and reference_matches,
+        {"compression_exact": all_exact, "gap_data": payload, "reference_matches": reference_matches},
     )
 
 
@@ -508,11 +458,15 @@ class SuiteResult:
         }
 
 
-def run_suite(seed: int = ACCEPTANCE_SEED, reference_path: str | None = None) -> SuiteResult:
+def run_suite(seed: int = ACCEPTANCE_SEED, reference_path: str | Path = REFERENCE_PATH) -> SuiteResult:
+    """Run every criterion at ``seed`` and time each call; no verdict reads the time."""
     results = []
     for fn in ALL_CRITERIA:
+        start = time.perf_counter()
         if fn is criterion_dilation_probe:
-            results.append(fn(seed, reference_path=reference_path))
+            result = fn(seed, reference_path=reference_path)
         else:
-            results.append(fn(seed))
+            result = fn(seed)
+        result.elapsed = time.perf_counter() - start
+        results.append(result)
     return SuiteResult(results=results, seed=seed)

@@ -331,7 +331,9 @@ def commutator_matrix(
 
     ``f-selfadjoint`` is F - F* with F = S* (T*T)(TT*) S - (T*T)(TT*) and S
     the shift, the section of the symbol z; for scalar symbols F = F* is
-    equivalent to binormality.  The product's margin is 2w, 3w, 4w or 4w + 2
+    equivalent to binormality.  It takes a symbol of block size 1, a
+    ``ScalarSymbol`` or a 1 x 1 ``MatrixSymbol``; a larger block raises
+    ``ValueError``.  The product's margin is 2w, 3w, 4w or 4w + 2
     (normal, quasinormal, binormal, f-selfadjoint) for a symbol of bandwidth
     w, and the default order is ``exact_order`` of it, where the product's
     window decides the identity for T(Phi) itself.  An explicit order builds
@@ -339,8 +341,8 @@ def commutator_matrix(
     """
     if property not in _PRODUCT_MARGINS:
         raise ValueError(f"unknown property {property!r}; expected one of {PROPERTIES}")
-    if property == "f-selfadjoint" and not isinstance(symbol, ScalarSymbol):
-        raise TypeError("the f-selfadjoint check takes a scalar symbol")
+    if property == "f-selfadjoint" and isinstance(symbol, MatrixSymbol) and symbol.dim != 1:
+        raise ValueError("the f-selfadjoint check applies to scalar symbols only")
     if order is None:
         a, b = _PRODUCT_MARGINS[property]
         order = exact_order(a * symbol.bandwidth + b)

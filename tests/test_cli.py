@@ -80,17 +80,21 @@ def test_check_takes_no_order(tmp_path, capsys):
 
 
 def test_an_overflowing_check_exits_2_without_a_verdict(tmp_path, capsys):
-    # 1e77 (1 + z) is not binormal, but its binormal product overflows
-    big = {"dim": 1, "coeffs": {"0": [[[1e77, 0.0]]], "1": [[[1e77, 0.0]]]}}
+    # 1e77 (1 + z) is not binormal, but its binormal product overflows; so does
+    # the normal product of a 2 x 2 block symbol with entries at 1e300
+    scalar = {"dim": 1, "coeffs": {"0": [[[1e77, 0.0]]], "1": [[[1e77, 0.0]]]}}
+    block = {"dim": 2, "coeffs": {"1": [[[1e300, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                  "-1": [[[1, 0], [0, 0]], [[0, 0], [1e300, 0]]]}}
     out = tmp_path / "report.json"
-    with pytest.warns(RuntimeWarning):  # numpy's overflow warnings, then the refusal
+    for big, prop in ((scalar, "binormal"), (block, "normal")):
         code = cli.main(["check", "--input", _write_input(tmp_path, big, "big.json"),
-                         "--property", "binormal", "--out", str(out)])
-    assert code == cli.EXIT_PARSE
-    err = capsys.readouterr().err
-    assert err.startswith("toeplab: input error:") and "non-finite" in err
-    assert "Traceback" not in err
-    assert out.read_text(encoding="utf-8") == ""
+                         "--property", prop, "--out", str(out)])
+        assert code == cli.EXIT_PARSE
+        # the refusal alone: no numpy overflow warning before it
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("toeplab: input error:") and "non-finite" in err[0]
+        assert out.read_text(encoding="utf-8") == ""
 
 
 def test_suite_writes_its_report(tmp_path):
@@ -191,6 +195,18 @@ def test_f_selfadjoint_check_rejects_a_matrix_symbol(tmp_path, capsys):
     code = cli.main(["check", "--input", _write_input(tmp_path), "--property", "f-selfadjoint"])
     assert code == cli.EXIT_PARSE
     assert "scalar symbols only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prop", ["normal", "quasinormal", "binormal", "f-selfadjoint"])
+def test_a_1x1_circulant_checks_as_its_scalar_symbol(tmp_path, prop):
+    entry = {"dim": 1, "coeffs": {"0": [[[0.5, 0.25]]], "1": [[[1.0, 0.0]]], "-2": [[[0.3, -0.1]]]}}
+    _, scalar = _run(tmp_path, "check", "--input", _write_input(tmp_path, entry, "s.json"),
+                     "--property", prop)
+    code, circulant = _run(tmp_path, "check", "--input",
+                           _write_input(tmp_path, {"circulant": 1, "row": [entry]}, "c.json"),
+                           "--property", prop)
+    assert code == cli.EXIT_OK
+    assert circulant["report"] == scalar["report"]
 
 
 @pytest.mark.parametrize("command", ["reduce", "probe-t41"])

@@ -382,8 +382,16 @@ def test_gu_lee_one_plus_z_consistent_with_commutator():
 
 
 def test_gu_lee_requires_scalar_symbol():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="scalar symbols only"):
         commutator_report(MatrixSymbol.identity(2), "f-selfadjoint", 32, 1e-8)
+
+
+def test_a_1x1_matrix_symbol_reports_as_its_entry():
+    rng = np.random.default_rng(23)
+    for w in (1, 2, 3):
+        phi = rand_scalar(rng, w)
+        for prop in MARGINS:
+            assert commutator_report(phi.as_matrix(), prop) == commutator_report(phi, prop)
 
 
 def test_gu_lee_random_corpus_agrees_with_commutator():
