@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symbols import MatrixSymbol, ScalarSymbol
+from .symbols import COEFF_PRUNE_TOL, MatrixSymbol, ScalarSymbol
 
 
 class CirculantPatternError(ValueError):
@@ -69,9 +69,20 @@ class CirculantSymbol:
         return max(phi.bandwidth for phi in self._row)
 
     def as_matrix_symbol(self) -> MatrixSymbol:
+        """The n x n matrix symbol, entry (i, j) = row[(j - i) mod n].
+
+        Bitwise ``MatrixSymbol.from_entries`` of that grid, key order
+        included: lags in order of first appearance over row[0 .. n-1], each
+        entry's lags sorted, because ``MatrixSymbol.__mul__`` accumulates in
+        that order.  Each lag's block is one gather of its column of the row.
+        """
         n = self._n
-        grid = [[self._row[(j - i) % n] for j in range(n)] for i in range(n)]
-        return MatrixSymbol.from_entries(grid)
+        cols: dict[int, np.ndarray] = {}
+        for j, phi in enumerate(self._row):
+            for m, c in phi.items():
+                cols.setdefault(m, np.zeros(n, dtype=complex))[j] = c
+        rotation = (np.arange(n) - np.arange(n)[:, None]) % n
+        return MatrixSymbol(n, {m: col[rotation] for m, col in cols.items()})
 
     def __add__(self, other: "CirculantSymbol") -> "CirculantSymbol":
         if not isinstance(other, CirculantSymbol):
@@ -121,28 +132,57 @@ def circulant_eigen_symbols(c: CirculantSymbol) -> DiagonalSymbol:
     """Eigenvalue symbols lambda_k = sum_j row[j] * mu^(j k), k in DFT order.
 
     The DFT is applied coefficientwise; the order k = 0..n-1 is never sorted.
+    Each lambda_k is folded in one dict with the operations of the symbol
+    route ``lam = lam + (mu ** (j * k)) * phi``, in its order: a term below
+    ``COEFF_PRUNE_TOL`` is skipped, a partial sum below it is removed.  So
+    the result is bitwise that route's, key order included, which matters
+    because ``ScalarSymbol.__mul__`` sums in insertion order.
     """
     n = c.n
     mu = complex(np.exp(2j * np.pi / n))
     lambdas = []
     for k in range(n):
-        lam = ScalarSymbol.zero()
+        acc: dict[int, complex] = {}
         for j, phi in enumerate(c.row):
-            lam = lam + (mu ** (j * k)) * phi
-        lambdas.append(lam)
+            w = mu ** (j * k)
+            for m, a in phi._coeffs.items():
+                t = w * a
+                if abs(t) < COEFF_PRUNE_TOL:
+                    continue
+                s = acc.get(m, 0j) + t
+                if abs(s) < COEFF_PRUNE_TOL:
+                    acc.pop(m)
+                else:
+                    acc[m] = s
+        lambdas.append(ScalarSymbol(acc))
     return DiagonalSymbol(lambdas)
 
 
 def conjugation_blocks(c: CirculantSymbol, phi: MatrixSymbol) -> tuple[list[int], np.ndarray]:
     """The lags n of ``phi``, the matrix symbol of ``c``, and of its eigen
     symbols, in increasing order, with the blocks U* Phi_n U - Lambda_n
-    stacked in the same order, shape (lags, n, n)."""
-    lam = circulant_eigen_symbols(c).as_matrix_symbol()
-    u = dft_unitary(c.n)
+    stacked in the same order, shape (lags, n, n).
+
+    Lambda is built as ``DiagonalSymbol.as_matrix_symbol`` builds it, from
+    diagonal arrays through the ``MatrixSymbol`` constructor, but without
+    that method's grid of zero symbols.  The constructor's pruning stays: it
+    reads numpy's modulus, which can put an entry just above
+    ``COEFF_PRUNE_TOL`` below it, where ``ScalarSymbol``'s modulus does not,
+    and then zeroes the entry or drops the lag.  So lags and blocks are
+    bitwise those of ``DiagonalSymbol.as_matrix_symbol``.  U* is formed once.
+    """
+    n = c.n
+    diag: dict[int, np.ndarray] = {}
+    for k, lam in enumerate(circulant_eigen_symbols(c).lambdas):
+        for m, x in lam.items():
+            diag.setdefault(m, np.zeros((n, n), dtype=complex))[k, k] = x
+    lam = MatrixSymbol(n, diag)
+    u = dft_unitary(n)
+    uh = u.conj().T
     lags = sorted(set(phi.support) | set(lam.support))
     blocks = np.array(
-        [u.conj().T @ phi.coeff(n) @ u - lam.coeff(n) for n in lags], dtype=complex
-    ).reshape(-1, c.n, c.n)
+        [uh @ phi.coeff(m) @ u - lam.coeff(m) for m in lags], dtype=complex
+    ).reshape(-1, n, n)
     return lags, blocks
 
 

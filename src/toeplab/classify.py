@@ -19,7 +19,7 @@ reports with ``ToeplitzTruncation.report`` on the products already formed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -45,7 +45,10 @@ class ClassificationCertificate:
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict`` of the certificate: witness values are
+        scalars, so a shallow copy of the witness is its deep copy."""
+        witness = None if self.witness is None else dict(self.witness)
+        return {"verdict": self.verdict, "method": self.method, "witness": witness}
 
 
 def autocorrelation(phi: ScalarSymbol, exp2: int = 0) -> dict[int, complex]:

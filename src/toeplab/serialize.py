@@ -149,6 +149,10 @@ def file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+# What ``json.dumps`` runs on a string with its default arguments.
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _render(value: Any, parts: list[str]) -> None:
     if value is None:
         parts.append("null")
@@ -157,7 +161,7 @@ def _render(value: Any, parts: list[str]) -> None:
     elif value is False:
         parts.append("false")
     elif isinstance(value, str):
-        parts.append(json.dumps(value))
+        parts.append(_quote(value))
     elif isinstance(value, (np.integer, int)):
         parts.append(str(int(value)))
     elif isinstance(value, (np.floating, float)):
@@ -172,7 +176,7 @@ def _render(value: Any, parts: list[str]) -> None:
         for i, (k, v) in enumerate(value.items()):
             if i:
                 parts.append(", ")
-            parts.append(json.dumps(str(k)))
+            parts.append(_quote(str(k)))
             parts.append(": ")
             _render(v, parts)
         parts.append("}")

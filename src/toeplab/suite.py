@@ -420,7 +420,7 @@ def criterion_dilation_probe(
     reference_matches = on_disk == render_json(payload) + "\n"
     return CriterionResult(
         9,
-        "dilation probe: compression identity exact; singular-value gaps recorded",
+        "dilation probe: compression identity exact; singular-value gaps equal the reference",
         all_exact and reference_matches,
         {"compression_exact": all_exact, "gap_data": payload, "reference_matches": reference_matches},
     )

@@ -324,6 +324,25 @@ def exact_order(margin: int) -> int:
     return 2 * margin + 1
 
 
+# The largest strip array a commutator chain may build, in bytes.  The
+# chain's peak memory is several times this: the products' dense temporaries
+# come on top of the strips.
+CHAIN_BUDGET_BYTES = 1 << 28
+
+
+def _refuse_oversized_chain(order: int, d: int, margin: int) -> None:
+    """Raise ``ValueError`` before anything is allocated when the chain's
+    largest strip array, the product's (order, d, (2 band + 1) d) complex
+    strips, would exceed ``CHAIN_BUDGET_BYTES``."""
+    size = 16 * order * d * d * (2 * _band(order, margin) + 1)
+    if size > CHAIN_BUDGET_BYTES:
+        raise ValueError(
+            f"the check needs a {size / 2**20:.0f} MiB section (order {order}, block dim {d}, "
+            f"margin {margin}), above the {CHAIN_BUDGET_BYTES >> 20} MiB budget; "
+            f"'toeplab classify' decides normality and binormality from the coefficients"
+        )
+
+
 def commutator_matrix(
     symbol: MatrixSymbol | ScalarSymbol, property: str, order: int | None = None
 ) -> ToeplitzTruncation:
@@ -337,15 +356,19 @@ def commutator_matrix(
     (normal, quasinormal, binormal, f-selfadjoint) for a symbol of bandwidth
     w, and the default order is ``exact_order`` of it, where the product's
     window decides the identity for T(Phi) itself.  An explicit order builds
-    the same products at that order; no order is refused here.
+    the same products at that order.  A chain whose largest strip array
+    would exceed ``CHAIN_BUDGET_BYTES`` is refused with ``ValueError`` before
+    the section is built.
     """
     if property not in _PRODUCT_MARGINS:
         raise ValueError(f"unknown property {property!r}; expected one of {PROPERTIES}")
     if property == "f-selfadjoint" and isinstance(symbol, MatrixSymbol) and symbol.dim != 1:
         raise ValueError("the f-selfadjoint check applies to scalar symbols only")
+    a, b = _PRODUCT_MARGINS[property]
+    margin = a * symbol.bandwidth + b
     if order is None:
-        a, b = _PRODUCT_MARGINS[property]
-        order = exact_order(a * symbol.bandwidth + b)
+        order = exact_order(margin)
+    _refuse_oversized_chain(order, 1 if isinstance(symbol, ScalarSymbol) else symbol.dim, margin)
     t = truncate(symbol, order)
     ts = t.adjoint()
     if property == "normal":

@@ -4,8 +4,10 @@ import pytest
 from toeplab.circulant import (
     CirculantPatternError,
     CirculantSymbol,
+    DiagonalSymbol,
     circulant_eigen_symbols,
     circulant_from_matrix_symbol,
+    conjugation_blocks,
     dft_unitary,
     diagonalize_check,
 )
@@ -105,6 +107,120 @@ def test_eigen_symbols_preserve_dft_order():
     lams = circulant_eigen_symbols(c).lambdas
     assert lams[0].coeff(0) == pytest.approx(1.0)
     assert lams[1].coeff(0) == pytest.approx(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# bitwise equality with the symbol-object route
+#
+# The eigen-symbols, the circulant's matrix symbol and the conjugation blocks
+# are built without intermediate symbols.  They must equal the route through
+# ScalarSymbol arithmetic and MatrixSymbol.from_entries bit for bit, key
+# order included: ScalarSymbol.__mul__ and MatrixSymbol.__mul__ accumulate in
+# insertion order, so a reordered key changes later sums.
+
+
+def _symbol_route_eigen_symbols(c):
+    n = c.n
+    mu = complex(np.exp(2j * np.pi / n))
+    lambdas = []
+    for k in range(n):
+        lam = ScalarSymbol.zero()
+        for j, phi in enumerate(c.row):
+            lam = lam + (mu ** (j * k)) * phi
+        lambdas.append(lam)
+    return lambdas
+
+
+def _hex(c):
+    return c.real.hex(), c.imag.hex()
+
+
+def _scalar_bits(phi):
+    """Keys in insertion order, with their coefficients in float.hex."""
+    return [(m, _hex(c)) for m, c in phi._coeffs.items()]
+
+
+def _matrix_bits(phi):
+    return [(m, [_hex(x) for x in mat.ravel()]) for m, mat in phi._coeffs.items()]
+
+
+def _bitwise_corpus(seed=26, count=400):
+    """Circulants, n <= 9, w <= 3, whose rows make the DFT sums cancel: equal
+    rows (partial sums vanish exactly, so keys leave and re-enter the sum),
+    sign-alternating rows, rows drawn from a few values of mixed sign, rows
+    at the pruning tolerance and negative zeros."""
+    rng = np.random.default_rng(seed)
+    values = [1.0, -1.0, 0.5j, -0.5j, 0.25 - 0.75j, complex(-0.0, 1.0), complex(1.0, -0.0),
+              complex(-0.0, -0.0), 1e-16, -3e-16j]
+    corpus = []
+    for i in range(count):
+        n = int(rng.integers(1, 10))
+        w = int(rng.integers(0, 4))
+
+        def pool_row():
+            idx = rng.choice(np.arange(-w, w + 1), size=int(rng.integers(1, 2 * w + 2)),
+                             replace=False)
+            return ScalarSymbol({int(m): values[int(rng.integers(len(values)))] for m in idx})
+
+        kind = i % 5
+        if kind == 0:
+            phi = rand_scalar(rng, max(w, 1))
+            rows = [phi] * n
+        elif kind == 1:
+            phi = rand_scalar(rng, max(w, 1))
+            rows = [phi if j % 2 == 0 else -phi for j in range(n)]
+        elif kind == 2:
+            rows = [pool_row() for _ in range(n)]
+        elif kind == 3:
+            # moduli at or up to 3e-15 over the tolerance 1e-15, so that terms
+            # (|mu^(jk)| rounds below 1) and partial sums fall below it
+            rows = [ScalarSymbol({m: 1e-15 * np.exp(2j * np.pi * rng.random()) if rng.random() < 0.5
+                                  else 1e-16 * complex(*rng.uniform(-20.0, 20.0, 2))
+                                  for m in range(-w, w + 1)}) for _ in range(n)]
+        else:
+            rows = [rand_scalar(rng, max(w, 1)) for _ in range(n)]
+        corpus.append(CirculantSymbol(rows))
+    return corpus
+
+
+def test_eigen_symbols_are_bitwise_the_symbol_route():
+    for c in _bitwise_corpus():
+        got = circulant_eigen_symbols(c).lambdas
+        want = _symbol_route_eigen_symbols(c)
+        assert [_scalar_bits(lam) for lam in got] == [_scalar_bits(lam) for lam in want]
+
+
+def test_eigen_symbols_keep_the_order_in_which_keys_reenter_the_sum():
+    # at k = 0, index 1 cancels after row 1 and comes back with row 2, after
+    # indices 0 and 2: the symbol route appends it at the end
+    rows = [ScalarSymbol({1: 1.0, 0: 2.0}), ScalarSymbol({1: -1.0, 2: 3.0}),
+            ScalarSymbol({1: 5.0})]
+    lam0 = circulant_eigen_symbols(CirculantSymbol(rows)).lambdas[0]
+    assert list(lam0._coeffs) == [0, 2, 1]
+    assert list(lam0._coeffs) == list(_symbol_route_eigen_symbols(CirculantSymbol(rows))[0]._coeffs)
+
+
+def test_matrix_symbol_is_bitwise_from_entries():
+    for c in _bitwise_corpus(seed=27, count=200):
+        n = c.n
+        want = MatrixSymbol.from_entries([[c.row[(j - i) % n] for j in range(n)] for i in range(n)])
+        got = c.as_matrix_symbol()
+        assert got == want
+        assert _matrix_bits(got) == _matrix_bits(want)
+
+
+def test_conjugation_blocks_are_bitwise_the_symbol_route():
+    for c in _bitwise_corpus(seed=28, count=200):
+        phi = c.as_matrix_symbol()
+        lam = DiagonalSymbol(_symbol_route_eigen_symbols(c)).as_matrix_symbol()
+        u = dft_unitary(c.n)
+        want_lags = sorted(set(phi.support) | set(lam.support))
+        want = np.array([u.conj().T @ phi.coeff(m) @ u - lam.coeff(m) for m in want_lags],
+                        dtype=complex).reshape(-1, c.n, c.n)
+        lags, blocks = conjugation_blocks(c, phi)
+        assert lags == want_lags
+        assert blocks.shape == want.shape
+        assert [_hex(x) for x in blocks.ravel()] == [_hex(x) for x in want.ravel()]
 
 
 # ---------------------------------------------------------------------------

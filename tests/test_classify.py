@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from toeplab import classify
 from toeplab.circulant import CirculantSymbol
 from toeplab.classify import (
+    ClassificationCertificate,
     autocorrelation,
     block2_condition_system,
     brown_halmos_normal_test,
@@ -201,6 +203,21 @@ def test_circulant_classify_equal_rows_collapse():
     assert res.certificates[0].verdict == "not_binormal"
     assert res.certificates[1].verdict == "binormal"  # zero symbol
     assert res.certificates[2].verdict == "binormal"
+
+
+def test_certificate_json_is_asdict_and_a_copy():
+    certs = [ClassificationCertificate("inconclusive", "inner_multiple")]
+    for _, phi in classifier_corpus(np.random.default_rng(26), 100):
+        certs += [scalar_binormal_classify(phi), brown_halmos_normal_test(phi)]
+    for cert in certs:
+        out = cert.to_json()
+        assert out == dataclasses.asdict(cert)
+        assert list(out) == ["verdict", "method", "witness"]
+        if cert.witness is not None:
+            before = dict(cert.witness)
+            out["witness"]["lag"] = -1
+            out["witness"].pop("reading", None)
+            assert cert.witness == before
 
 
 def test_circulant_classify_agrees_with_block_numeric():

@@ -97,6 +97,23 @@ def test_an_overflowing_check_exits_2_without_a_verdict(tmp_path, capsys):
         assert out.read_text(encoding="utf-8") == ""
 
 
+def test_check_refuses_a_section_over_the_memory_budget(tmp_path, capsys):
+    # z^100000: the binormal product's strips alone would take 2.33 TiB
+    path = _write_input(tmp_path, {"dim": 1, "coeffs": {"100000": [[[1.0, 0.0]]]}}, "z.json")
+    out = tmp_path / "report.json"
+    for prop in ("binormal", "f-selfadjoint"):
+        code = cli.main(["check", "--input", path, "--property", prop, "--out", str(out)])
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("toeplab: input error:") and "'toeplab classify'" in err[0]
+        assert out.read_text(encoding="utf-8") == ""
+    # the alternative the message names decides the same symbol
+    code, report = _run(tmp_path, "classify", "--input", path)
+    assert code == cli.EXIT_OK
+    assert report["binormal"]["verdict"] == "binormal"
+
+
 def test_suite_writes_its_report(tmp_path):
     out = tmp_path / "suite.json"
     assert cli.main(["suite", "--out", str(out)]) == cli.EXIT_OK

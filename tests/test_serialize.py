@@ -178,6 +178,13 @@ def test_reports_render_to_fixed_bytes(report, text):
     assert render_json(report.to_json()) == text
 
 
+@pytest.mark.parametrize("text", ["", "plain", 'quote " and \\ backslash', "tab\tnew\nline\x00",
+                                  "\u00e9\u2248\U0001d53b", "\ud800 lone surrogate", "\x7f"])
+def test_render_json_quotes_strings_and_keys_as_json_dumps(text):
+    assert render_json(text) == json.dumps(text)
+    assert render_json({text: [text]}) == json.dumps({text: [text]})
+
+
 def test_render_json_rejects_numpy_bool():
     with pytest.raises(TypeError, match="bool"):
         render_json({"flag": np.bool_(True)})

@@ -607,6 +607,41 @@ def test_a_product_keeps_its_section_small():
     assert peak < 268e6
 
 
+@pytest.mark.parametrize("phi, order", [
+    (ScalarSymbol.monomial(100000), None),
+    (ScalarSymbol.monomial(5000) + ScalarSymbol.monomial(-5000), None),
+    (MatrixSymbol(8, {1: np.ones((8, 8)), -1: np.eye(8)}), 10**6),
+], ids=["z^100000", "z^5000+z^-5000", "8x8-at-order-1e6"])
+def test_a_chain_over_the_memory_budget_is_refused_before_it_allocates(phi, order):
+    for prop in MARGINS:
+        if prop == "f-selfadjoint" and isinstance(phi, MatrixSymbol):
+            continue
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="'toeplab classify'"):
+                commutator_matrix(phi, prop, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def test_the_memory_budget_bounds_the_products_strip_array(monkeypatch):
+    # exact orders, and explicit ones below and above the margin, where the
+    # stored band is order - 1 and the margin
+    rng = np.random.default_rng(26)
+    phi = rand_matrix(rng, 2, 2)
+    for prop in ("normal", "quasinormal", "binormal"):
+        for order in (None, 3, 40):
+            k = commutator_matrix(phi, prop, order)
+            monkeypatch.setattr(toeplitz, "CHAIN_BUDGET_BYTES", k.strips.nbytes)
+            assert np.array_equal(commutator_matrix(phi, prop, order).strips, k.strips)
+            monkeypatch.setattr(toeplitz, "CHAIN_BUDGET_BYTES", k.strips.nbytes - 1)
+            with pytest.raises(ValueError, match="above the 0 MiB budget"):
+                commutator_matrix(phi, prop, order)
+            monkeypatch.undo()
+
+
 # ---------------------------------------------------------------------------
 # conjugation identity
 
