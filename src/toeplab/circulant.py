@@ -10,11 +10,12 @@ identity between coefficients is how the diagonalization is checked.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from .symbols import COEFF_PRUNE_TOL, MatrixSymbol, ScalarSymbol
+from .symbols import MatrixSymbol, ScalarSymbol
 
 
 class CirculantPatternError(ValueError):
@@ -71,10 +72,8 @@ class CirculantSymbol:
     def as_matrix_symbol(self) -> MatrixSymbol:
         """The n x n matrix symbol, entry (i, j) = row[(j - i) mod n].
 
-        Bitwise ``MatrixSymbol.from_entries`` of that grid, key order
-        included: lags in order of first appearance over row[0 .. n-1], each
-        entry's lags sorted, because ``MatrixSymbol.__mul__`` accumulates in
-        that order.  Each lag's block is one gather of its column of the row.
+        Bitwise ``MatrixSymbol.from_entries`` of that grid; each lag's block
+        is one gather of its column of the row.
         """
         n = self._n
         cols: dict[int, np.ndarray] = {}
@@ -132,56 +131,47 @@ def circulant_eigen_symbols(c: CirculantSymbol) -> DiagonalSymbol:
     """Eigenvalue symbols lambda_k = sum_j row[j] * mu^(j k), k in DFT order.
 
     The DFT is applied coefficientwise; the order k = 0..n-1 is never sorted.
-    Each lambda_k is folded in one dict with the operations of the symbol
-    route ``lam = lam + (mu ** (j * k)) * phi``, in its order: a term below
-    ``COEFF_PRUNE_TOL`` is skipped, a partial sum below it is removed.  So
-    the result is bitwise that route's, key order included, which matters
-    because ``ScalarSymbol.__mul__`` sums in insertion order.
+    lambda_k[m] is an n-term sum of products w * row[j][m] with |w| = 1, so
+    its rounding error is at most about (n + 2) u S_m, with u = 2^-53 and
+    S_m = sum_j |row[j][m]| (Higham, Accuracy and Stability, section 3.5),
+    plus the rounding of the weights mu^(j k) themselves.  A coefficient is
+    dropped when |lambda_k[m]| <= 4 n 2^-52 S_m = 8 n u S_m, which leaves room
+    for both: the residue that equal rows leave where they cancel goes (it
+    stays under a fifth of the bound up to n = 64), and a coefficient that
+    the rows carry above rounding stays, at any scale.  Each index is judged
+    against its own sum, so there is no absolute floor.
     """
     n = c.n
     mu = complex(np.exp(2j * np.pi / n))
+    size: dict[int, float] = {}
+    for phi in c.row:
+        for m, a in phi.items():
+            size[m] = size.get(m, 0.0) + abs(a)
+    rel = 4 * n * 2.0 ** -52
     lambdas = []
     for k in range(n):
         acc: dict[int, complex] = {}
         for j, phi in enumerate(c.row):
             w = mu ** (j * k)
-            for m, a in phi._coeffs.items():
-                t = w * a
-                if abs(t) < COEFF_PRUNE_TOL:
-                    continue
-                s = acc.get(m, 0j) + t
-                if abs(s) < COEFF_PRUNE_TOL:
-                    acc.pop(m)
-                else:
-                    acc[m] = s
-        lambdas.append(ScalarSymbol(acc))
+            for m, a in phi.items():
+                acc[m] = acc.get(m, 0j) + w * a
+        lambdas.append(ScalarSymbol({m: s for m, s in acc.items() if abs(s) > rel * size[m]}))
     return DiagonalSymbol(lambdas)
 
 
 def conjugation_blocks(c: CirculantSymbol, phi: MatrixSymbol) -> tuple[list[int], np.ndarray]:
     """The lags n of ``phi``, the matrix symbol of ``c``, and of its eigen
     symbols, in increasing order, with the blocks U* Phi_n U - Lambda_n
-    stacked in the same order, shape (lags, n, n).
-
-    Lambda is built as ``DiagonalSymbol.as_matrix_symbol`` builds it, from
-    diagonal arrays through the ``MatrixSymbol`` constructor, but without
-    that method's grid of zero symbols.  The constructor's pruning stays: it
-    reads numpy's modulus, which can put an entry just above
-    ``COEFF_PRUNE_TOL`` below it, where ``ScalarSymbol``'s modulus does not,
-    and then zeroes the entry or drops the lag.  So lags and blocks are
-    bitwise those of ``DiagonalSymbol.as_matrix_symbol``.  U* is formed once.
+    stacked in the same order, shape (lags, n, n).  U* is formed once.
     """
     n = c.n
-    diag: dict[int, np.ndarray] = {}
-    for k, lam in enumerate(circulant_eigen_symbols(c).lambdas):
-        for m, x in lam.items():
-            diag.setdefault(m, np.zeros((n, n), dtype=complex))[k, k] = x
-    lam = MatrixSymbol(n, diag)
+    lambdas = circulant_eigen_symbols(c).lambdas
     u = dft_unitary(n)
     uh = u.conj().T
-    lags = sorted(set(phi.support) | set(lam.support))
+    lags = sorted(set(phi.support).union(*(lam.support for lam in lambdas)))
     blocks = np.array(
-        [uh @ phi.coeff(m) @ u - lam.coeff(m) for m in lags], dtype=complex
+        [uh @ phi.coeff(m) @ u - np.diag([lam.coeff(m) for lam in lambdas]) for m in lags],
+        dtype=complex,
     ).reshape(-1, n, n)
     return lags, blocks
 
@@ -192,9 +182,16 @@ def diagonalize_check(c: CirculantSymbol) -> float:
     C(z) = sum_n C_n z^n and Lambda(z) = sum_n Lambda_n z^n, so U* C U =
     Lambda holds on the whole circle exactly when it holds at every lag, and
     the residual is pure floating-point noise; 0.0 for the zero symbol.
+    The norms are taken of the blocks / 2^e, 2^e the power of two just above
+    their largest real or imaginary part, and scaled back: the scaling is
+    exact, and the largest sum of squares, the only one returned, neither
+    overflows nor underflows to zero, at any scale of the symbol.
     """
     _, blocks = conjugation_blocks(c, c.as_matrix_symbol())
-    return max((float(np.linalg.norm(b)) for b in blocks), default=0.0)
+    parts = blocks.view(float)
+    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    scaled = np.ldexp(parts, -e).view(complex)
+    return max((math.ldexp(float(np.linalg.norm(b)), e) for b in scaled), default=0.0)
 
 
 def circulant_from_matrix_symbol(phi: MatrixSymbol) -> CirculantSymbol:

@@ -3,8 +3,12 @@
 A symbol is a finitely supported Laurent polynomial on the unit circle.
 ``ScalarSymbol`` holds complex coefficients, ``MatrixSymbol`` holds square
 complex matrix coefficients, and both constructors reject a NaN or infinite
-coefficient with ``ValueError``.  They are immutable value objects; all
-arithmetic returns new instances, so they are safe to share across threads.
+coefficient with ``ValueError``.  A coefficient is kept exactly when it is
+nonzero, however small, and the indices are stored in increasing order, so
+products sum their terms in index order whatever order a symbol was built
+in.  Pruning rounding residue is left to the routine that knows the rounding
+bound of its own sums.  Symbols are immutable value objects; all arithmetic
+returns new instances, so they are safe to share across threads.
 Every identity the package checks is an identity between coefficients, so a
 symbol is never evaluated at points of the circle.
 """
@@ -16,10 +20,6 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-# Coefficients whose modulus falls below this after arithmetic are dropped,
-# keeping the bandwidth meaningful for window computations.
-COEFF_PRUNE_TOL = 1e-15
-
 
 class ScalarSymbol:
     """A complex Laurent polynomial, stored as a sparse index->coefficient map."""
@@ -27,16 +27,15 @@ class ScalarSymbol:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, complex] | None = None):
-        pruned: dict[int, complex] = {}
+        kept: dict[int, complex] = {}
         if coeffs:
             for n, c in coeffs.items():
                 c = complex(c)
-                m = abs(c)
-                if not m < inf:
+                if not abs(c) < inf:
                     raise ValueError(f"coefficient at index {n} is not finite: {c!r}")
-                if m >= COEFF_PRUNE_TOL:
-                    pruned[int(n)] = c
-        self._coeffs = pruned
+                if c:
+                    kept[int(n)] = c
+        self._coeffs = dict(sorted(kept.items()))
 
     # -- constructors ---------------------------------------------------
 
@@ -59,11 +58,11 @@ class ScalarSymbol:
         return self._coeffs.get(n, 0j)
 
     def items(self) -> Iterator[tuple[int, complex]]:
-        return iter(sorted(self._coeffs.items()))
+        return iter(self._coeffs.items())
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
+        return tuple(self._coeffs)
 
     @property
     def bandwidth(self) -> int:
@@ -128,7 +127,7 @@ class ScalarSymbol:
         return self._coeffs == other._coeffs
 
     def max_coeff_diff(self, other: "ScalarSymbol") -> float:
-        """Largest modulus of a coefficient of self - other (no pruning)."""
+        """Largest modulus of a coefficient of self - other."""
         idx = set(self._coeffs) | set(other._coeffs)
         return max((abs(self.coeff(n) - other.coeff(n)) for n in idx), default=0.0)
 
@@ -152,7 +151,7 @@ class MatrixSymbol:
         if dim < 1:
             raise ValueError(f"matrix symbol dimension must be >= 1, got {dim}")
         self._dim = dim
-        pruned: dict[int, np.ndarray] = {}
+        kept: dict[int, np.ndarray] = {}
         if coeffs:
             for n, mat in coeffs.items():
                 arr = np.array(mat, dtype=complex)
@@ -160,15 +159,12 @@ class MatrixSymbol:
                     raise ValueError(
                         f"coefficient at index {n} has shape {arr.shape}, expected {(dim, dim)}"
                     )
-                mags = np.abs(arr)
-                top = mags.max()
-                if not top < inf:
+                if not np.abs(arr).max() < inf:
                     raise ValueError(f"coefficient at index {n} has a non-finite entry")
-                if top >= COEFF_PRUNE_TOL:
-                    arr[mags < COEFF_PRUNE_TOL] = 0
+                if arr.any():
                     arr.setflags(write=False)
-                    pruned[int(n)] = arr
-        self._coeffs = pruned
+                    kept[int(n)] = arr
+        self._coeffs = dict(sorted(kept.items()))
 
     # -- constructors ------------------------------------------------------
 
@@ -206,11 +202,11 @@ class MatrixSymbol:
         return mat
 
     def items(self) -> Iterator[tuple[int, np.ndarray]]:
-        return iter(sorted(self._coeffs.items()))
+        return iter(self._coeffs.items())
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
+        return tuple(self._coeffs)
 
     @property
     def bandwidth(self) -> int:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,29 @@ def test_eigen_symbols_collapse_for_equal_rows():
     assert lams[2].is_zero()
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100, 1e-16, 1.0, 1e100, 1e200, 1e300])
+def test_eigen_symbols_collapse_for_equal_rows_at_any_scale(s):
+    # the residue of the cancelled sums is pruned relative to the rows'
+    # own coefficients, so no scale leaves it behind or drops lambda_0
+    rng = np.random.default_rng(61)
+    for n in (2, 3, 4, 8, 9):
+        phi = s * rand_scalar(rng)
+        lams = circulant_eigen_symbols(CirculantSymbol([phi] * n)).lambdas
+        assert lams[0].support == phi.support
+        assert lams[0].max_coeff_diff(n * phi) <= 1e-15 * n * phi.max_modulus_coeff()
+        assert all(lam.is_zero() for lam in lams[1:])
+
+
+def test_a_small_coefficient_survives_the_eigen_symbols():
+    row = ONE + 1e-17 * ScalarSymbol.monomial(1)
+    (lam,) = circulant_eigen_symbols(CirculantSymbol([row])).lambdas
+    assert lam == row
+    lams = circulant_eigen_symbols(CirculantSymbol([row] * 3)).lambdas
+    assert lams[0].support == (0, 1)
+    assert lams[0].coeff(1) == pytest.approx(3e-17, rel=1e-15)
+    assert all(lam.is_zero() for lam in lams[1:])
+
+
 def test_eigen_symbols_preserve_dft_order():
     # order is k = 0..n-1, never sorted: k=0 is always the row sum
     c = CirculantSymbol([const(0.0), const(1.0)])
@@ -114,20 +139,21 @@ def test_eigen_symbols_preserve_dft_order():
 #
 # The eigen-symbols, the circulant's matrix symbol and the conjugation blocks
 # are built without intermediate symbols.  They must equal the route through
-# ScalarSymbol arithmetic and MatrixSymbol.from_entries bit for bit, key
-# order included: ScalarSymbol.__mul__ and MatrixSymbol.__mul__ accumulate in
-# insertion order, so a reordered key changes later sums.
+# ScalarSymbol arithmetic and MatrixSymbol.from_entries bit for bit, with the
+# eigen-symbols pruned by the same per-index rounding bound.
 
 
 def _symbol_route_eigen_symbols(c):
     n = c.n
     mu = complex(np.exp(2j * np.pi / n))
+    rel = 4 * n * 2.0 ** -52
     lambdas = []
     for k in range(n):
         lam = ScalarSymbol.zero()
         for j, phi in enumerate(c.row):
             lam = lam + (mu ** (j * k)) * phi
-        lambdas.append(lam)
+        size = {m: sum(abs(phi.coeff(m)) for phi in c.row) for m in lam.support}
+        lambdas.append(ScalarSymbol({m: x for m, x in lam.items() if abs(x) > rel * size[m]}))
     return lambdas
 
 
@@ -136,19 +162,19 @@ def _hex(c):
 
 
 def _scalar_bits(phi):
-    """Keys in insertion order, with their coefficients in float.hex."""
-    return [(m, _hex(c)) for m, c in phi._coeffs.items()]
+    """Keys in stored order, with their coefficients in float.hex."""
+    return [(m, _hex(c)) for m, c in phi.items()]
 
 
 def _matrix_bits(phi):
-    return [(m, [_hex(x) for x in mat.ravel()]) for m, mat in phi._coeffs.items()]
+    return [(m, [_hex(x) for x in mat.ravel()]) for m, mat in phi.items()]
 
 
 def _bitwise_corpus(seed=26, count=400):
     """Circulants, n <= 9, w <= 3, whose rows make the DFT sums cancel: equal
     rows (partial sums vanish exactly, so keys leave and re-enter the sum),
     sign-alternating rows, rows drawn from a few values of mixed sign, rows
-    at the pruning tolerance and negative zeros."""
+    of coefficients near 1e-15 and negative zeros."""
     rng = np.random.default_rng(seed)
     values = [1.0, -1.0, 0.5j, -0.5j, 0.25 - 0.75j, complex(-0.0, 1.0), complex(1.0, -0.0),
               complex(-0.0, -0.0), 1e-16, -3e-16j]
@@ -172,8 +198,8 @@ def _bitwise_corpus(seed=26, count=400):
         elif kind == 2:
             rows = [pool_row() for _ in range(n)]
         elif kind == 3:
-            # moduli at or up to 3e-15 over the tolerance 1e-15, so that terms
-            # (|mu^(jk)| rounds below 1) and partial sums fall below it
+            # moduli from 1e-16 to 3e-15: sums of tiny terms, which only
+            # their own rounding bound may drop
             rows = [ScalarSymbol({m: 1e-15 * np.exp(2j * np.pi * rng.random()) if rng.random() < 0.5
                                   else 1e-16 * complex(*rng.uniform(-20.0, 20.0, 2))
                                   for m in range(-w, w + 1)}) for _ in range(n)]
@@ -190,14 +216,20 @@ def test_eigen_symbols_are_bitwise_the_symbol_route():
         assert [_scalar_bits(lam) for lam in got] == [_scalar_bits(lam) for lam in want]
 
 
-def test_eigen_symbols_keep_the_order_in_which_keys_reenter_the_sum():
-    # at k = 0, index 1 cancels after row 1 and comes back with row 2, after
-    # indices 0 and 2: the symbol route appends it at the end
-    rows = [ScalarSymbol({1: 1.0, 0: 2.0}), ScalarSymbol({1: -1.0, 2: 3.0}),
-            ScalarSymbol({1: 5.0})]
-    lam0 = circulant_eigen_symbols(CirculantSymbol(rows)).lambdas[0]
-    assert list(lam0._coeffs) == [0, 2, 1]
-    assert list(lam0._coeffs) == list(_symbol_route_eigen_symbols(CirculantSymbol(rows))[0]._coeffs)
+def test_products_do_not_depend_on_the_order_a_symbol_was_built_in():
+    # products sum their terms in index order, so building the operands from
+    # the same coefficients in another order gives the same bits
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        a, b = rand_scalar(rng), rand_scalar(rng)
+        ra, rb = (ScalarSymbol(dict(reversed(list(x.items())))) for x in (a, b))
+        assert _scalar_bits(a * b) == _scalar_bits(ra * rb)
+        d = int(rng.integers(1, 4))
+        blocks = [{int(m): rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                   for m in rng.choice(np.arange(-3, 4), size=4, replace=False)} for _ in range(2)]
+        p, q = (MatrixSymbol(d, x) for x in blocks)
+        rp, rq = (MatrixSymbol(d, dict(reversed(list(x.items())))) for x in blocks)
+        assert _matrix_bits(p * q) == _matrix_bits(rp * rq)
 
 
 def test_matrix_symbol_is_bitwise_from_entries():
@@ -245,6 +277,23 @@ def test_diagonalize_check_circ123_and_eigensolver_value():
 def test_diagonalize_check_zero_symbol():
     c = CirculantSymbol([ScalarSymbol.zero()] * 3)
     assert diagonalize_check(c) == 0.0
+
+
+def test_diagonalize_check_is_finite_and_relative_at_any_scale():
+    rng = np.random.default_rng(62)
+    corpus = [rand_circulant(rng, int(rng.integers(1, 9))) for _ in range(16)]
+    for c in corpus:
+        base = diagonalize_check(c)
+        size = max(np.linalg.norm(mat) for _, mat in c.as_matrix_symbol().items())
+        assert 0.0 < base <= 16 * np.finfo(float).eps * size
+        # scaling by a power of two is exact in every step, the norm included
+        for k in (-900, -500, 500, 900):
+            scaled = CirculantSymbol([math.ldexp(1.0, k) * phi for phi in c.row])
+            assert diagonalize_check(scaled) == math.ldexp(base, k)
+        # at decimal scales the rounding differs, but stays relative to s
+        for s in (1e-300, 1e-200, 1e-16, 1e200, 1e300):
+            got = diagonalize_check(CirculantSymbol([s * phi for phi in c.row]))
+            assert 0.5 * base <= got / s <= 2.0 * base
 
 
 def test_diagonalization_invariant_on_random_corpus():

@@ -63,8 +63,9 @@ def test_inner_gapped_symbol_fails_at_lag_two():
     assert cert.witness["lag"] == 2
 
 
-# 1e-14 rather than smaller: ScalarSymbol drops coefficients below 1e-15
-@pytest.mark.parametrize("s", [1e-14, 1.0, 1e154, 1e300, 2.0 ** 1023, 1.7e308])
+@pytest.mark.parametrize(
+    "s", [5e-324, 1e-300, 1e-200, 1e-16, 1e-14, 1.0, 1e154, 1e300, 2.0 ** 1023, 1.7e308]
+)
 def test_inner_multiple_verdicts_do_not_depend_on_scale(s):
     # r_1 of s (1 + z) is s^2, which overflows from s ~ 1.3e154 on, and 2^e
     # itself from s >= 2^1023 on; the lags are decided on phi / 2^e and the
@@ -203,6 +204,17 @@ def test_circulant_classify_equal_rows_collapse():
     assert res.certificates[0].verdict == "not_binormal"
     assert res.certificates[1].verdict == "binormal"  # zero symbol
     assert res.certificates[2].verdict == "binormal"
+
+
+def test_tiny_symbols_are_classified_as_their_coefficients_say():
+    # 1e-16 is no floor: these are 1 + z and a circulant of non-monomials
+    tiny = 1e-16 * (ONE + Z)
+    assert scalar_binormal_classify(tiny).verdict == "not_binormal"
+    assert brown_halmos_normal_test(tiny).verdict == "not_normal"
+    rows = [1e-16 * (ONE + 2.0 * Z), 1e-16 * (-3.0 * ONE + Z)]
+    res = circulant_binormal_classify(CirculantSymbol(rows))
+    assert res.aggregate == "not_binormal"
+    assert [c.verdict for c in res.certificates] == ["not_binormal", "not_binormal"]
 
 
 def test_certificate_json_is_asdict_and_a_copy():

@@ -159,6 +159,18 @@ def test_diagonalize_reports(tmp_path):
     assert report["max_residual"] <= 1e-10
 
 
+def test_diagonalize_reports_a_circulant_of_large_coefficients(tmp_path):
+    # the residual is about 1e184: its Frobenius norm is taken at a scale
+    # where the squares do not overflow
+    big = {"circulant": 2, "row": [
+        {"dim": 1, "coeffs": {"0": [[[1e200, 0.0]]], "1": [[[2e200, 0.0]]]}},
+        {"dim": 1, "coeffs": {"0": [[[-3e200, 0.0]]], "1": [[[1e200, 0.0]]]}},
+    ]}
+    code, report = _run(tmp_path, "diagonalize", "--input", _write_input(tmp_path, big, "big.json"))
+    assert code == cli.EXIT_OK
+    assert 0.0 < report["max_residual"] <= 1e-14 * 1e200
+
+
 def test_classify_reports_circulant_and_scalar(tmp_path):
     code, report = _run(tmp_path, "classify", "--input", _write_input(tmp_path))
     assert code == cli.EXIT_OK
@@ -170,6 +182,14 @@ def test_classify_reports_circulant_and_scalar(tmp_path):
     assert code == cli.EXIT_OK
     assert set(report) == {"meta", "kind", "binormal", "normal"}
     assert report["kind"] == "scalar"
+    assert report["normal"]["verdict"] == "not_normal"
+
+
+def test_classify_reports_a_tiny_symbol_by_its_coefficients(tmp_path):
+    tiny = {"dim": 1, "coeffs": {"0": [[[1e-16, 0.0]]], "1": [[[1e-16, 0.0]]]}}
+    code, report = _run(tmp_path, "classify", "--input", _write_input(tmp_path, tiny, "tiny.json"))
+    assert code == cli.EXIT_OK
+    assert report["binormal"]["verdict"] == "not_binormal"
     assert report["normal"]["verdict"] == "not_normal"
 
 

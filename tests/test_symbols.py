@@ -173,13 +173,25 @@ def test_bandwidth_examples():
     assert scalar({-3: 1.0, 2: 1.0}).bandwidth == 3
 
 
-def test_tiny_coefficients_are_pruned():
-    assert scalar({0: 1e-16}).is_zero()
-    diff = (ONE + Z) - (ONE + Z)
-    assert diff.is_zero()
+def test_small_coefficients_are_kept():
+    assert scalar({0: 1e-16, 1: 1e-16}).support == (0, 1)
+    assert ((ONE + Z) - (ONE + Z)).is_zero()
     phi = MatrixSymbol(2, {0: [[1e-16, 0], [0, 1.0]]})
-    assert phi.entry(0, 0).is_zero()
-    assert not phi.entry(1, 1).is_zero()
+    assert phi.entry(0, 0) == scalar({0: 1e-16})
+    assert phi.entry(0, 1).is_zero()
+    assert phi.entry(1, 1) == ONE
+
+    def supports(coeffs):
+        sym = scalar(coeffs)
+        return (sym.support, sym.as_matrix().support,
+                MatrixSymbol(1, {n: [[c]] for n, c in coeffs.items()}).entry(0, 0).support)
+
+    # Python's abs and numpy's modulus differ in the last bit for this value
+    found = {0: 1.0, 1: 9.99851971761689e-16 + 1.7205655008244635e-17j}
+    assert supports(found) == ((0, 1),) * 3
+    rng = np.random.default_rng(38)
+    tiny = 1e-15 * rng.uniform(0.999, 1.001, 20_000) * np.exp(2j * np.pi * rng.random(20_000))
+    assert supports({n: complex(c) for n, c in enumerate(tiny)}) == (tuple(range(20_000)),) * 3
 
 
 def test_entry_view_roundtrip():
