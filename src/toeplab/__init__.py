@@ -23,7 +23,6 @@ from .classify import (
     block2_condition_system,
     brown_halmos_normal_test,
     circulant_binormal_classify,
-    coanalytic_inner_multiple_test,
     commuting_normal_family,
     inner_multiple_test,
     scalar_binormal_classify,
@@ -68,7 +67,6 @@ __all__ = [
     "circulant_binormal_classify",
     "circulant_eigen_symbols",
     "circulant_from_matrix_symbol",
-    "coanalytic_inner_multiple_test",
     "commutator_report",
     "commuting_normal_family",
     "conjugation_identity_check",

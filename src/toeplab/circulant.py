@@ -139,7 +139,9 @@ def circulant_eigen_symbols(c: CirculantSymbol) -> DiagonalSymbol:
     for both: the residue that equal rows leave where they cancel goes (it
     stays under a fifth of the bound up to n = 64), and a coefficient that
     the rows carry above rounding stays, at any scale.  Each index is judged
-    against its own sum, so there is no absolute floor.
+    against its own sum, so there is no absolute floor.  An S_m or a
+    lambda_k[m] beyond the float range raises ValueError: an infinite S_m
+    would prune every finite coefficient at index m.
     """
     n = c.n
     mu = complex(np.exp(2j * np.pi / n))
@@ -147,6 +149,8 @@ def circulant_eigen_symbols(c: CirculantSymbol) -> DiagonalSymbol:
     for phi in c.row:
         for m, a in phi.items():
             size[m] = size.get(m, 0.0) + abs(a)
+    if not max(size.values(), default=0.0) < math.inf:
+        raise ValueError("eigen-symbols overflow: a sum of coefficient moduli exceeds the float range")
     rel = 4 * n * 2.0 ** -52
     lambdas = []
     for k in range(n):
@@ -155,7 +159,10 @@ def circulant_eigen_symbols(c: CirculantSymbol) -> DiagonalSymbol:
             w = mu ** (j * k)
             for m, a in phi.items():
                 acc[m] = acc.get(m, 0j) + w * a
-        lambdas.append(ScalarSymbol({m: s for m, s in acc.items() if abs(s) > rel * size[m]}))
+        try:  # abs overflows for finite parts, ScalarSymbol refuses infinite ones
+            lambdas.append(ScalarSymbol({m: s for m, s in acc.items() if abs(s) > rel * size[m]}))
+        except (OverflowError, ValueError):
+            raise ValueError(f"eigen-symbol {k} overflows the float range") from None
     return DiagonalSymbol(lambdas)
 
 

@@ -2,11 +2,12 @@
 
 The tests here work on coefficients alone, never by sampling the circle.
 Each non-inconclusive verdict carries a witness that can be recomputed from
-the symbol: a nonzero autocorrelation lag, the index breaking the normality
-relation, or the unimodular factor linking positive and negative
-coefficients.  The window-based reports in ``toeplab.toeplitz`` provide the
-independent numeric counterpart; tests and the acceptance suite require the
-two routes to agree.
+the symbol: the index of a monomial, the end indices of a one-sided symbol
+with more than one term, the first pair's coefficients, the index breaking
+the normality relation, or the unimodular factor linking positive and
+negative coefficients.  The window-based reports in ``toeplab.toeplitz``
+provide the independent numeric counterpart; tests and the acceptance suite
+require the two routes to agree.
 
 The 2x2-block checks decide their side conditions from coefficients: the
 shape a special case demands, and the commuting-normal hypothesis on the
@@ -18,7 +19,6 @@ reports with ``ToeplitzTruncation.report`` on the products already formed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -51,54 +51,26 @@ class ClassificationCertificate:
         return {"verdict": self.verdict, "method": self.method, "witness": witness}
 
 
-def autocorrelation(phi: ScalarSymbol, exp2: int = 0) -> dict[int, complex]:
-    """r_j = sum_k c_{k+j} * conj(c_k) for all lags j with support overlap,
-    of the coefficients c of phi / 2^exp2, scaled exactly by ``math.ldexp``."""
-    coeffs = [(n, complex(math.ldexp(c.real, -exp2), math.ldexp(c.imag, -exp2)))
-              for n, c in phi.items()]
-    out: dict[int, complex] = {}
-    for n, a in coeffs:
-        for m, b in coeffs:
-            lag = n - m
-            out[lag] = out.get(lag, 0j) + a * b.conjugate()
-    return out
-
-
-def _zero_tol(phi: ScalarSymbol) -> float:
-    return COEFF_REL_TOL * phi.max_modulus_coeff()
-
-
 def inner_multiple_test(phi: ScalarSymbol) -> ClassificationCertificate:
-    """Decide whether an analytic polynomial has constant modulus on the circle.
+    """Decide whether an analytic or coanalytic polynomial has constant
+    modulus on the circle, that is, is a constant multiple of an inner function.
 
-    |phi|^2 on the circle has Fourier coefficient r_j at frequency j, so the
-    modulus is constant exactly when every nonzero lag vanishes; the constant
-    square modulus is then r_0 and phi is a constant multiple of an inner
-    function.  The lags are decided on phi / 2^e, 2^e the power of two just
-    above the largest coefficient modulus, so that no r_j overflows and the
-    scaling is exact.  The witness is that r_j with ``exp2`` = 2e: in phi's
-    own units it is r_j 2^exp2, which may exceed the float range.
+    If its lowest and highest indices are a < b, |phi|^2 has the nonzero
+    coefficient c_b conj(c_a) at frequency b - a; a monomial c z^k has
+    |phi|^2 = |c|^2.  So the test is "at most one nonzero coefficient", read
+    from the support with no rounding.  The witness is the monomial's
+    ``index`` (None for zero), or the ``lag`` b - a with ``lowest`` a and
+    ``highest`` b.
     """
-    if not phi.is_analytic():
-        raise ValueError("inner_multiple_test requires an analytic symbol")
-    e = math.frexp(phi.max_modulus_coeff())[1]
-    r = autocorrelation(phi, e)
-    r0 = r.get(0, 0j).real
-    tol = COEFF_REL_TOL * r0
-    bad = sorted(j for j, v in r.items() if j > 0 and abs(v) > tol)
-    if bad:
-        witness = {"lag": bad[0], "autocorrelation": r[bad[0]], "exp2": 2 * e}
-    else:
-        witness = {"constant_modulus_sq": r0, "exp2": 2 * e}
-    return ClassificationCertificate("not_binormal" if bad else "binormal", "inner_multiple", witness)
-
-
-def coanalytic_inner_multiple_test(phi: ScalarSymbol) -> ClassificationCertificate:
-    """Same test applied to the conjugate-reflected (hence analytic) symbol."""
-    if not phi.is_coanalytic():
-        raise ValueError("coanalytic_inner_multiple_test requires a coanalytic symbol")
-    cert = inner_multiple_test(phi.conj_reflect())
-    return ClassificationCertificate(cert.verdict, cert.method, {**cert.witness, "reflected": True})
+    if not (phi.is_analytic() or phi.is_coanalytic()):
+        raise ValueError("inner_multiple_test requires an analytic or coanalytic symbol")
+    support = phi.support
+    if len(support) <= 1:
+        return ClassificationCertificate(
+            "binormal", "inner_multiple", {"index": support[0] if support else None})
+    a, b = support[0], support[-1]
+    return ClassificationCertificate(
+        "not_binormal", "inner_multiple", {"lag": b - a, "lowest": a, "highest": b})
 
 
 def brown_halmos_normal_test(phi: ScalarSymbol) -> ClassificationCertificate:
@@ -108,68 +80,47 @@ def brown_halmos_normal_test(phi: ScalarSymbol) -> ClassificationCertificate:
     real-valued on the circle.  Coefficientwise this says c_{-n} equals
     gamma * conj(c_n) for every n >= 1, with one unimodular gamma fixed from
     the lowest nonzero pair.
+
+    The first pair's presence is read exactly, and its moduli are compared
+    within ``COEFF_REL_TOL`` |c_{n0}| before gamma is formed, which then
+    cannot overflow.  The relation keeps ``COEFF_REL_TOL`` max|c_k|:
+    eigen-symbols and alpha * f + beta carry rounding that it cannot see.
     """
-    tol = _zero_tol(phi)
+    def cert(verdict: str, **witness) -> ClassificationCertificate:
+        return ClassificationCertificate(verdict, "brown_halmos", {**witness, "reading": "standard"})
+
     indices = sorted({abs(n) for n in phi.support if n != 0})
     if not indices:
-        return ClassificationCertificate(
-            verdict="normal",
-            method="brown_halmos",
-            witness={"gamma": None, "constant": True, "reading": "standard"},
-        )
+        return cert("normal", gamma=None, constant=True)
     n0 = indices[0]
     cp, cm = phi.coeff(n0), phi.coeff(-n0)
-    if abs(cp) <= tol or abs(cm) <= tol:
-        return ClassificationCertificate(
-            verdict="not_normal",
-            method="brown_halmos",
-            witness={"index": n0, "coeff_pos": cp, "coeff_neg": cm, "reading": "standard"},
-        )
+    if not cp or not cm or abs(abs(cm) - abs(cp)) > COEFF_REL_TOL * abs(cp):
+        return cert("not_normal", index=n0, coeff_pos=cp, coeff_neg=cm)
     gamma = cm / cp.conjugate()
-    if abs(abs(gamma) - 1.0) > COEFF_REL_TOL:
-        return ClassificationCertificate(
-            verdict="not_normal",
-            method="brown_halmos",
-            witness={"index": n0, "gamma_modulus": abs(gamma), "reading": "standard"},
-        )
+    tol = COEFF_REL_TOL * phi.max_modulus_coeff()
     for n in indices:
         if abs(phi.coeff(-n) - gamma * phi.coeff(n).conjugate()) > tol:
-            return ClassificationCertificate(
-                verdict="not_normal",
-                method="brown_halmos",
-                witness={"index": n, "gamma": gamma, "reading": "standard"},
-            )
-    return ClassificationCertificate(
-        verdict="normal",
-        method="brown_halmos",
-        witness={"gamma": gamma, "reading": "standard"},
-    )
+            return cert("not_normal", index=n, gamma=gamma)
+    return cert("normal", gamma=gamma)
 
 
 def scalar_binormal_classify(phi: ScalarSymbol) -> ClassificationCertificate:
     """Binormality of a scalar Toeplitz operator, decided by symbol shape.
 
-    Analytic symbols and coanalytic symbols go through the constant-multiple-
-    of-inner test; symbols with coefficients on both sides are binormal
-    exactly when they are normal.
+    Analytic and coanalytic symbols go through the constant-multiple-of-inner
+    test; symbols with coefficients on both sides are binormal exactly when
+    they are normal.
     """
-    if phi.is_analytic():
-        inner = inner_multiple_test(phi)
-        branch = "analytic"
-    elif phi.is_coanalytic():
-        inner = coanalytic_inner_multiple_test(phi)
-        branch = "coanalytic"
+    if phi.is_analytic() or phi.is_coanalytic():
+        cert = inner_multiple_test(phi)
+        verdict = cert.verdict
+        branch = "analytic" if phi.is_analytic() else "coanalytic"
     else:
-        bh = brown_halmos_normal_test(phi)
-        verdict = "binormal" if bh.verdict == "normal" else "not_binormal"
-        witness = dict(bh.witness or {})
-        witness["branch"] = "mixed"
-        witness["via"] = bh.method
-        return ClassificationCertificate(verdict, "cor310_case", witness)
-    witness = dict(inner.witness or {})
-    witness["branch"] = branch
-    witness["via"] = inner.method
-    return ClassificationCertificate(inner.verdict, "cor310_case", witness)
+        cert = brown_halmos_normal_test(phi)
+        verdict = "binormal" if cert.verdict == "normal" else "not_binormal"
+        branch = "mixed"
+    return ClassificationCertificate(
+        verdict, "cor310_case", {**cert.witness, "branch": branch, "via": cert.method})
 
 
 @dataclass(frozen=True)
@@ -199,7 +150,7 @@ def commuting_normal_family(
     Every member generates a Toeplitz operator affine in the self-adjoint
     T_f, so the family is mutually commuting and normal by construction.
     """
-    if f.conj_reflect().max_coeff_diff(f) > _zero_tol(f):
+    if f.conj_reflect() != f:
         raise ValueError("f must be real-valued on the circle (c_{-n} = conj(c_n))")
     return [alpha * f + ScalarSymbol.constant(beta) for alpha, beta in pairs]
 
@@ -328,10 +279,7 @@ def block2_condition_system(
 
 
 SPECIAL_CASES = ("cor52i", "cor52ii", "cor53ii", "ex54a", "ex54b")
-
-
-def _is_constant_one(phi: ScalarSymbol) -> bool:
-    return phi.max_coeff_diff(ScalarSymbol.constant(1.0)) <= COEFF_REL_TOL
+_ONE = ScalarSymbol.constant(1.0)
 
 
 def special_case_checks(
@@ -355,9 +303,9 @@ def special_case_checks(
     if case not in SPECIAL_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {SPECIAL_CASES}")
     p1, p2, p3, p4 = phis
-    if case == "cor52i" and not (_is_constant_one(p1) and _is_constant_one(p4)):
+    if case == "cor52i" and not p1 == p4 == _ONE:
         raise ValueError("cor52i requires phi_1 = phi_4 = 1")
-    if case in ("cor52ii", "cor53ii") and not (_is_constant_one(p2) and _is_constant_one(p3)):
+    if case in ("cor52ii", "cor53ii") and not p2 == p3 == _ONE:
         raise ValueError(f"{case} requires phi_2 = phi_3 = 1")
     if case == "ex54a":
         for name, p in (("phi_1", p1), ("phi_2", p2), ("phi_4", p4)):
@@ -366,7 +314,7 @@ def special_case_checks(
     if case == "ex54b":
         if not (p1.is_zero() and p4.is_zero()):
             raise ValueError("ex54b requires phi_1 = phi_4 = 0")
-        if not _is_constant_one(p2):
+        if p2 != _ONE:
             raise ValueError("ex54b requires phi_2 = 1")
 
     if case in ("cor52i", "cor52ii", "cor53ii"):
@@ -395,7 +343,7 @@ def special_case_checks(
     if case == "cor53ii":
         psi = p1 + p4.conj_reflect()
         real_resid = psi.conj_reflect().max_coeff_diff(psi)
-        is_real = real_resid <= _zero_tol(psi)
+        is_real = real_resid <= COEFF_REL_TOL * psi.max_modulus_coeff()
         rep = (tst - tts).report("normal", tolerance)
         out["real_valued_residual"] = real_resid
         out["real_valued"] = is_real

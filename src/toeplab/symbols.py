@@ -3,12 +3,13 @@
 A symbol is a finitely supported Laurent polynomial on the unit circle.
 ``ScalarSymbol`` holds complex coefficients, ``MatrixSymbol`` holds square
 complex matrix coefficients, and both constructors reject a NaN or infinite
-coefficient with ``ValueError``.  A coefficient is kept exactly when it is
-nonzero, however small, and the indices are stored in increasing order, so
-products sum their terms in index order whatever order a symbol was built
-in.  Pruning rounding residue is left to the routine that knows the rounding
-bound of its own sums.  Symbols are immutable value objects; all arithmetic
-returns new instances, so they are safe to share across threads.
+coefficient, or one whose modulus exceeds the float range, with
+``ValueError``.  A coefficient is kept exactly when it is nonzero, however
+small, and the indices are stored in increasing order, so products sum their
+terms in index order whatever order a symbol was built in.  Pruning rounding
+residue is left to the routine that knows the rounding bound of its own
+sums.  Symbols are immutable value objects; all arithmetic returns new
+instances, so they are safe to share across threads.
 Every identity the package checks is an identity between coefficients, so a
 symbol is never evaluated at points of the circle.
 """
@@ -31,8 +32,13 @@ class ScalarSymbol:
         if coeffs:
             for n, c in coeffs.items():
                 c = complex(c)
-                if not abs(c) < inf:
-                    raise ValueError(f"coefficient at index {n} is not finite: {c!r}")
+                try:
+                    finite = abs(c) < inf
+                except OverflowError:  # finite parts, modulus beyond the float range
+                    finite = False
+                if not finite:
+                    raise ValueError(f"coefficient at index {n} is not finite or its modulus "
+                                     f"exceeds the float range: {c!r}")
                 if c:
                     kept[int(n)] = c
         self._coeffs = dict(sorted(kept.items()))
@@ -160,7 +166,8 @@ class MatrixSymbol:
                         f"coefficient at index {n} has shape {arr.shape}, expected {(dim, dim)}"
                     )
                 if not np.abs(arr).max() < inf:
-                    raise ValueError(f"coefficient at index {n} has a non-finite entry")
+                    raise ValueError(f"coefficient at index {n} has a non-finite entry or "
+                                     "one whose modulus exceeds the float range")
                 if arr.any():
                     arr.setflags(write=False)
                     kept[int(n)] = arr
@@ -226,9 +233,6 @@ class MatrixSymbol:
     def entry(self, i: int, j: int) -> ScalarSymbol:
         """Extract entry (i, j) across all indices as a ScalarSymbol."""
         return ScalarSymbol({n: mat[i, j] for n, mat in self._coeffs.items()})
-
-    def max_modulus_coeff(self) -> float:
-        return max((float(np.max(np.abs(m))) for m in self._coeffs.values()), default=0.0)
 
     # -- algebra ----------------------------------------------------------
 

@@ -14,6 +14,7 @@ from toeplab.circulant import (
     diagonalize_check,
 )
 from pointwise import evaluate, unit_samples
+from toeplab.classify import circulant_binormal_classify
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
 
 ONE = ScalarSymbol.constant(1.0)
@@ -124,6 +125,22 @@ def test_a_small_coefficient_survives_the_eigen_symbols():
     assert lams[0].support == (0, 1)
     assert lams[0].coeff(1) == pytest.approx(3e-17, rel=1e-15)
     assert all(lam.is_zero() for lam in lams[1:])
+
+
+def test_eigen_symbols_that_overflow_are_refused():
+    # lambda_0 = 2e308 (1 + z) is no float, and sum_j |row_j[m]| is infinite;
+    # pruning against it would leave lambda_0 = 0 and read binormal
+    row = 1e308 * (ONE + ScalarSymbol.monomial(1))
+    with pytest.raises(ValueError, match="float range"):
+        circulant_eigen_symbols(CirculantSymbol([row, row]))
+    with pytest.raises(ValueError, match="float range"):
+        circulant_binormal_classify(CirculantSymbol([row, row]))
+    # every sum of moduli is finite, but lambda_2 = mu^10 c has a modulus just
+    # above the largest float
+    top = 1.7976931348623157e308 / 2 ** 0.5
+    rows = [ScalarSymbol.zero()] * 5 + [ScalarSymbol.constant(complex(top, top))]
+    with pytest.raises(ValueError, match="eigen-symbol 2 overflows the float range"):
+        circulant_eigen_symbols(CirculantSymbol(rows))
 
 
 def test_eigen_symbols_preserve_dft_order():

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -8,11 +7,9 @@ from toeplab import classify
 from toeplab.circulant import CirculantSymbol
 from toeplab.classify import (
     ClassificationCertificate,
-    autocorrelation,
     block2_condition_system,
     brown_halmos_normal_test,
     circulant_binormal_classify,
-    coanalytic_inner_multiple_test,
     commuting_normal_family,
     inner_multiple_test,
     scalar_binormal_classify,
@@ -35,16 +32,21 @@ F_REAL = Z + ZBAR
 
 
 def test_inner_monomial_is_binormal_with_constant_modulus():
-    cert = inner_multiple_test(ScalarSymbol.monomial(2, 3.0))
+    phi = ScalarSymbol.monomial(2, 3.0)
+    cert = inner_multiple_test(phi)
     assert cert.verdict == "binormal"
-    assert cert.witness["constant_modulus_sq"] * 2.0 ** cert.witness["exp2"] == pytest.approx(9.0)
+    assert cert.witness == {"index": 2}
+    # |3 z^2|^2 = 9 on the circle, the square modulus of the one coefficient
+    assert abs(phi.coeff(cert.witness["index"])) ** 2 == 9.0
+    assert inner_multiple_test(ZERO).witness == {"index": None}
 
 
 def test_inner_one_plus_z_fails_at_lag_one():
     cert = inner_multiple_test(ONE + Z)
     assert cert.verdict == "not_binormal"
-    assert cert.witness["lag"] == 1
-    assert cert.witness["autocorrelation"] * 2.0 ** cert.witness["exp2"] == pytest.approx(1.0)
+    assert cert.witness == {"lag": 1, "lowest": 0, "highest": 1}
+    # r_1 = c_1 conj(c_0) = 1
+    assert Z.coeff(1) * ONE.coeff(0).conjugate() == 1.0
 
 
 def test_inner_gapped_symbol_fails_at_lag_two():
@@ -55,30 +57,39 @@ def test_inner_gapped_symbol_fails_at_lag_two():
     for n, a in coeffs.items():
         for m, b in coeffs.items():
             r[n - m] = r.get(n - m, 0j) + a * b.conjugate()
-    assert autocorrelation(phi) == r
     assert {j for j, v in r.items() if j > 0 and abs(v) > 0} == {2}
 
     cert = inner_multiple_test(phi)
     assert cert.verdict == "not_binormal"
-    assert cert.witness["lag"] == 2
+    assert cert.witness == {"lag": 2, "lowest": 1, "highest": 3}
+    # the witness lag's r has the one term c_b conj(c_a), which is not zero
+    w = cert.witness
+    assert r[w["lag"]] == phi.coeff(w["highest"]) * phi.coeff(w["lowest"]).conjugate() != 0
 
 
 @pytest.mark.parametrize(
     "s", [5e-324, 1e-300, 1e-200, 1e-16, 1e-14, 1.0, 1e154, 1e300, 2.0 ** 1023, 1.7e308]
 )
 def test_inner_multiple_verdicts_do_not_depend_on_scale(s):
-    # r_1 of s (1 + z) is s^2, which overflows from s ~ 1.3e154 on, and 2^e
-    # itself from s >= 2^1023 on; the lags are decided on phi / 2^e and the
-    # witness is r_j of phi / 2^e with exp2 = 2e
-    e = math.frexp(s)[1]
+    # the verdict is read from the support, so no |phi|^2 coefficient is
+    # formed that could overflow or underflow at any scale
     cert = scalar_binormal_classify(s * (ONE + Z))
-    assert cert.verdict == "not_binormal" and cert.witness["lag"] == 1
+    assert cert.verdict == "not_binormal"
+    assert (cert.witness["lag"], cert.witness["lowest"], cert.witness["highest"]) == (1, 0, 1)
     cube = scalar_binormal_classify(ScalarSymbol.monomial(3, s))
-    assert cube.verdict == "binormal"
-    assert cert.witness["exp2"] == cube.witness["exp2"] == 2 * e
-    assert cert.witness["autocorrelation"] == pytest.approx(math.ldexp(s, -e) ** 2)
-    assert cube.witness["constant_modulus_sq"] == pytest.approx(math.ldexp(s, -e) ** 2)
+    assert cube.verdict == "binormal" and cube.witness["index"] == 3
     render_json({"binormal": cert.to_json(), "cube": cube.to_json()})
+
+
+def test_inner_test_reads_a_tiny_second_coefficient():
+    # neither is a monomial: |phi|^2 has the coefficient 1e-13 at lag 1 and
+    # at lag 3, however small it is next to r_0
+    for phi, lag in ((ONE + 1e-13 * Z, 1),
+                     (ScalarSymbol({-2: 1.0, -5: 1e-13}), 3)):
+        cert = scalar_binormal_classify(phi)
+        assert cert.verdict == "not_binormal"
+        assert cert.witness["lag"] == lag
+        assert inner_multiple_test(phi).verdict == "not_binormal"
 
 
 def test_inner_rejects_non_analytic():
@@ -87,11 +98,14 @@ def test_inner_rejects_non_analytic():
 
 
 def test_coanalytic_variant():
-    assert coanalytic_inner_multiple_test(ZBAR).verdict == "binormal"
-    assert coanalytic_inner_multiple_test(ONE + ZBAR).verdict == "not_binormal"
-    assert coanalytic_inner_multiple_test(ScalarSymbol.constant(5.0)).verdict == "binormal"
+    assert inner_multiple_test(ZBAR).verdict == "binormal"
+    assert inner_multiple_test(ONE + ZBAR).verdict == "not_binormal"
+    assert inner_multiple_test(ScalarSymbol.constant(5.0)).verdict == "binormal"
+    # the witness of a coanalytic symbol names its own indices
+    assert inner_multiple_test(ONE + ZBAR).witness == {"lag": 1, "lowest": -1, "highest": 0}
+    assert inner_multiple_test(ONE + Z).verdict == "not_binormal"
     with pytest.raises(ValueError):
-        coanalytic_inner_multiple_test(ONE + Z)
+        inner_multiple_test(ONE + Z + ZBAR)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +144,78 @@ def test_unbalanced_pair_is_not_normal():
 
 def test_constant_is_normal():
     assert brown_halmos_normal_test(ScalarSymbol.constant(2 - 1j)).verdict == "normal"
+
+
+def test_a_small_first_pair_is_read_as_its_coefficients_say():
+    # real-valued, so normal: a first pair far below the largest coefficient
+    # still fixes gamma
+    phi = ScalarSymbol({0: 1.0, 1: 1e-13, -1: 1e-13})
+    cert = brown_halmos_normal_test(phi)
+    assert cert.verdict == "normal" and cert.witness["gamma"] == 1.0
+    assert scalar_binormal_classify(phi).verdict == "binormal"
+    # gamma = i from the small pair holds at index 2 as well
+    rotated = ScalarSymbol({1: 1e-13, -1: 1e-13j, 2: 1.0, -2: 1j})
+    assert brown_halmos_normal_test(rotated).verdict == "normal"
+
+
+def test_a_first_pair_of_far_apart_moduli_is_not_normal_without_forming_gamma():
+    # cm / conj(cp) would be inf: the moduli are compared first
+    phi = ScalarSymbol({1: 1e-300, -1: 1e300, 0: 1.0})
+    cert = brown_halmos_normal_test(phi)
+    assert cert.verdict == "not_normal"
+    assert cert.witness == {"index": 1, "coeff_pos": 1e-300, "coeff_neg": 1e300,
+                            "reading": "standard"}
+    render_json({"normal": cert.to_json(), "binormal": scalar_binormal_classify(phi).to_json()})
+    one_sided = brown_halmos_normal_test(ScalarSymbol({0: 1.0, -2: 3.0}))
+    assert one_sided.witness == {"index": 2, "coeff_pos": 0j, "coeff_neg": 3.0,
+                                 "reading": "standard"}
+
+
+def _gaussian_integer_corpus(rng, count):
+    """Scalar symbols, w <= 3, with Gaussian-integer coefficients whose parts
+    lie in -3..3, in four kinds: generic, analytic, coanalytic and
+    alpha * f + beta with f real-valued.  Every product and sum a window of
+    such a symbol forms is an exact float."""
+    def gauss():
+        return complex(*rng.integers(-3, 4, 2))
+
+    out = []
+    for i in range(count):
+        w = int(rng.integers(1, 4))
+        kind = ("generic", "analytic", "coanalytic", "affine")[i % 4]
+        if kind == "generic":
+            phi = ScalarSymbol({n: gauss() for n in range(-w, w + 1)})
+        elif kind == "analytic":
+            phi = ScalarSymbol({n: gauss() for n in range(w + 1)})
+        elif kind == "coanalytic":
+            phi = ScalarSymbol({-n: gauss() for n in range(w + 1)})
+        else:
+            half = {n: gauss() for n in range(1, w + 1)}
+            f = ScalarSymbol({0: float(rng.integers(-3, 4)), **half,
+                              **{-n: c.conjugate() for n, c in half.items()}})
+            phi = gauss() * f + ScalarSymbol.constant(gauss())
+        out.append((kind, phi))
+    return out
+
+
+def test_exact_classifiers_agree_with_the_window_route_at_tolerance_zero():
+    # exact window arithmetic leaves no tolerance to argue about: the window
+    # is clean exactly when the commutator of T(phi) is zero
+    seen = set()
+    for kind, phi in _gaussian_integer_corpus(np.random.default_rng(29), 3000):
+        for prop, cert, holds in (
+            ("binormal", scalar_binormal_classify(phi), "binormal"),
+            ("normal", brown_halmos_normal_test(phi), "normal"),
+        ):
+            clean = commutator_report(phi, prop, tolerance=0.0).verdict == VERDICT_CLEAN
+            assert (cert.verdict == holds) == clean, (kind, prop, phi)
+            seen.add((kind, prop, clean))
+    # the one-sided and generic kinds read both ways for binormality, the
+    # generic kind for normality too; alpha * f + beta is always normal
+    assert {(k, "binormal", c) for k in ("generic", "analytic", "coanalytic")
+            for c in (True, False)} <= seen
+    assert {("generic", "normal", True), ("generic", "normal", False)} <= seen
+    assert {c for k, _, c in seen if k == "affine"} == {True}
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +358,12 @@ def test_family_from_zero_is_constant():
 def test_family_rejects_non_real_generator():
     with pytest.raises(ValueError):
         commuting_normal_family(Z, [(1.0, 0.0)])
+
+
+def test_family_rejects_a_generator_that_is_real_only_within_a_tolerance():
+    # the imaginary constant 1e-13 makes f not real-valued
+    with pytest.raises(ValueError, match="real-valued"):
+        commuting_normal_family(F_REAL + ScalarSymbol.constant(1e-13j), [(1.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +671,20 @@ def test_special_case_identity_diagonal_binormal_instance():
     assert rep["identity_holds"] is True
     assert rep["binormal_report"]["verdict"] == VERDICT_CLEAN
     assert rep["consistent"] is True
+
+
+def test_special_case_shapes_demand_exact_ones():
+    # 1 + 1e-13 is not 1, as 1e-13 is not 0 for ex54a
+    near_one = ScalarSymbol.constant(1.0 + 1e-13)
+    a, b = _family(np.random.default_rng(42), 2)
+    with pytest.raises(ValueError, match="phi_1 = phi_4 = 1"):
+        special_case_checks([near_one, a, b, ONE], "cor52i", 1e-8)
+    with pytest.raises(ValueError, match="phi_2 = phi_3 = 1"):
+        special_case_checks([a, ONE, near_one, b], "cor52ii", 1e-8)
+    with pytest.raises(ValueError, match="phi_2 = 1"):
+        special_case_checks([ZERO, near_one, Z, ZERO], "ex54b", 1e-8)
+    with pytest.raises(ValueError, match="phi_1 = 0"):
+        special_case_checks([ScalarSymbol.constant(1e-13), ZERO, ONE + Z, ZERO], "ex54a", 1e-8)
 
 
 def test_special_case_rejects_unknown_case():

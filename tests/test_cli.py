@@ -194,14 +194,34 @@ def test_classify_reports_a_tiny_symbol_by_its_coefficients(tmp_path):
 
 
 @pytest.mark.parametrize("coeffs", [
-    {"3": [[[1e200, 0.0]]]},                          # r_0 = 1e400 in the symbol's units
-    {"1": [[[1e308, 0.0]]], "2": [[[1e308, 0.0]]]},  # 2^e, e = 1024, is no float
+    {"3": [[[1e200, 0.0]]]},                          # |phi|^2 = 1e400 is no float
+    {"1": [[[1e308, 0.0]]], "2": [[[1e308, 0.0]]]},  # nor is r_1 = 1e616
 ])
 def test_classify_reports_an_extreme_scale_analytic_symbol(tmp_path, coeffs):
     path = _write_input(tmp_path, {"dim": 1, "coeffs": coeffs}, "big.json")
     code, report = _run(tmp_path, "classify", "--input", path)
     assert code == cli.EXIT_OK
     assert report["binormal"]["verdict"] == ("binormal" if len(coeffs) == 1 else "not_binormal")
+
+
+@pytest.mark.parametrize("command", ["classify", "diagonalize"])
+def test_a_circulant_whose_eigen_symbols_overflow_exits_2(tmp_path, capsys, command):
+    # lambda_0 = 2e308 (1 + z): refused, not pruned to a zero symbol
+    row = {"dim": 1, "coeffs": {"0": [[[1e308, 0.0]]], "1": [[[1e308, 0.0]]]}}
+    path = _write_input(tmp_path, {"circulant": 2, "row": [row, row]}, "huge.json")
+    assert cli.main([command, "--input", path]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("toeplab: input error:") and "float range" in err
+
+
+def test_classify_reports_a_first_pair_of_far_apart_moduli(tmp_path):
+    coeffs = {"1": [[[1e-300, 0.0]]], "-1": [[[1e300, 0.0]]], "0": [[[1.0, 0.0]]]}
+    path = _write_input(tmp_path, {"dim": 1, "coeffs": coeffs}, "apart.json")
+    code, report = _run(tmp_path, "classify", "--input", path)
+    assert code == cli.EXIT_OK
+    assert report["normal"]["verdict"] == "not_normal"
+    assert report["binormal"]["verdict"] == "not_binormal"
 
 
 def test_gamma_reports(tmp_path):

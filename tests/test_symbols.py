@@ -214,6 +214,18 @@ def test_non_finite_coefficients_are_rejected(bad):
         MatrixSymbol(2, {1: [[1.0, 0.0], [0.0, bad]]})
 
 
+def test_a_finite_coefficient_whose_modulus_overflows_is_rejected():
+    # both parts are finite, but |c| is about 2.1e308
+    big = complex(1.5e308, 1.5e308)
+    with pytest.raises(ValueError, match="modulus exceeds the float range"):
+        ScalarSymbol({1: big})
+    with pytest.raises(ValueError, match="modulus exceeds the float range"):
+        MatrixSymbol(1, {1: [[big]]})
+    with pytest.raises(ValueError, match="modulus exceeds the float range"):
+        MatrixSymbol(2, {0: [[1.0, 0.0], [big, 0.0]]})
+    assert ScalarSymbol({1: complex(1e308, 1e308)}).coeff(1) == complex(1e308, 1e308)
+
+
 def test_overflowing_arithmetic_is_rejected():
     big = ScalarSymbol.constant(1e200)
     with pytest.raises(ValueError):
