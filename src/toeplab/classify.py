@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .circulant import CirculantSymbol, circulant_eigen_symbols
-from .symbols import MatrixSymbol, ScalarSymbol
+from .symbols import MatrixSymbol, ScalarSymbol, modulus
 from .toeplitz import DEFAULT_TOLERANCE, VERDICT_CLEAN, CommutatorReport, ToeplitzTruncation, exact_order, truncate
 
 # Not used in this module; the binding stays because perfbench/test_tracing.py
@@ -85,6 +85,7 @@ def brown_halmos_normal_test(phi: ScalarSymbol) -> ClassificationCertificate:
     within ``COEFF_REL_TOL`` |c_{n0}| before gamma is formed, which then
     cannot overflow.  The relation keeps ``COEFF_REL_TOL`` max|c_k|:
     eigen-symbols and alpha * f + beta carry rounding that it cannot see.
+    A residual whose modulus exceeds the float range exceeds that tolerance.
     """
     def cert(verdict: str, **witness) -> ClassificationCertificate:
         return ClassificationCertificate(verdict, "brown_halmos", {**witness, "reading": "standard"})
@@ -99,7 +100,7 @@ def brown_halmos_normal_test(phi: ScalarSymbol) -> ClassificationCertificate:
     gamma = cm / cp.conjugate()
     tol = COEFF_REL_TOL * phi.max_modulus_coeff()
     for n in indices:
-        if abs(phi.coeff(-n) - gamma * phi.coeff(n).conjugate()) > tol:
+        if modulus(phi.coeff(-n) - gamma * phi.coeff(n).conjugate()) > tol:
             return cert("not_normal", index=n, gamma=gamma)
     return cert("normal", gamma=gamma)
 

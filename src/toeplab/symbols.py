@@ -22,6 +22,15 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 
+def modulus(c: complex) -> float:
+    """|c|, or inf where |c| exceeds the float range, which ``abs`` refuses
+    with ``OverflowError`` even when both parts of c are finite."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return inf
+
+
 class ScalarSymbol:
     """A complex Laurent polynomial, stored as a sparse index->coefficient map."""
 
@@ -32,11 +41,7 @@ class ScalarSymbol:
         if coeffs:
             for n, c in coeffs.items():
                 c = complex(c)
-                try:
-                    finite = abs(c) < inf
-                except OverflowError:  # finite parts, modulus beyond the float range
-                    finite = False
-                if not finite:
+                if not modulus(c) < inf:
                     raise ValueError(f"coefficient at index {n} is not finite or its modulus "
                                      f"exceeds the float range: {c!r}")
                 if c:
@@ -133,9 +138,10 @@ class ScalarSymbol:
         return self._coeffs == other._coeffs
 
     def max_coeff_diff(self, other: "ScalarSymbol") -> float:
-        """Largest modulus of a coefficient of self - other."""
+        """Largest modulus of a coefficient of self - other; inf where that
+        modulus exceeds the float range."""
         idx = set(self._coeffs) | set(other._coeffs)
-        return max((abs(self.coeff(n) - other.coeff(n)) for n in idx), default=0.0)
+        return max((modulus(self.coeff(n) - other.coeff(n)) for n in idx), default=0.0)
 
     def __repr__(self) -> str:
         if not self._coeffs:

@@ -19,9 +19,21 @@ bound of the section itself: block (i, j) is zero whenever |i - j| > margin.
 So a section is stored as block-row strips: row i keeps only block columns
 i - margin .. i + margin, and memory is O(N d^2 margin), not the (N d)^2 of
 the dense matrix, which ``data`` builds on demand for the callers that need
-one.  Truncation, adjoints, sums and window reductions walk the strips, and
-``@`` multiplies only inside its factors' bands, so every step costs time
-linear in N, set by the bandwidths and d.
+one.  Truncation, adjoints, sums and window reductions walk the strips.
+
+In exact arithmetic every section these operations build is T_N(sigma)
+plus two corners, its first and its last ``margin`` x ``margin`` blocks: a
+fresh section has none, adjoints, sums and entries keep them in place, and
+by Widom's formula T_N(a) T_N(b) = T_N(ab) - P_N H(a) H(b~) P_N -
+W_N H(a~) H(b) W_N a product of margins a and b has corners of at most
+a + b blocks.  So block rows [margin, N - margin) meet no corner and are one
+row shifted along the diagonal.  Block row i of a product of margin
+M = a + b reads row i of the left factor and rows i - a .. i + a of the
+right one, for M <= i < N - M all in those Toeplitz rows.  So ``@``
+computes block rows [0, M] and the last M rows, each group as one dense
+product inside the factors' bands, and copies row M into the rows between:
+its multiplication work is set by M and d, not by N.  The copies carry row
+M's rounding, which computing each row would reproduce only up to rounding.
 
 Reports read entries only from the exact window, so a nonzero entry there
 disproves an operator identity.  From order 2W + 1 on (``exact_order``), a
@@ -62,32 +74,26 @@ class WindowError(ValueError):
     """Truncation order too small for the requested window-exact computation."""
 
 
-# Interior tiles of a product are multiplied in stacks of at most this many
-# bytes (both factors' tiles and the products), so the temporaries of ``@``
-# stay small next to the sections themselves.
-_STACK_BYTES = 1 << 22
-
-
 def _band(order: int, margin: int) -> int:
     """Block diagonals a section stores: those of its margin that meet the section."""
     return min(margin, order - 1)
 
 
 def _skew(dense: np.ndarray, d: int, w: int) -> np.ndarray:
-    """View of the C-contiguous dense block rows ``dense`` (..., R d, W) whose
-    block row r starts at column block r: the strips (..., R, d, w) inside
-    them, for W >= (R - 1) d + w."""
-    *lead, rows, width = dense.shape
+    """View of the C-contiguous dense block rows ``dense`` (R d, W) whose
+    block row r starts at column block r: the strips (R, d, w) inside them,
+    for W >= (R - 1) d + w."""
+    rows, width = dense.shape
     item = dense.itemsize
-    strides = (*dense.strides[:-2], (d * width + d) * item, width * item, item)
-    return np.ndarray((*lead, rows // d, d, w), dense.dtype, dense, 0, strides)
+    strides = ((d * width + d) * item, width * item, item)
+    return np.ndarray((rows // d, d, w), dense.dtype, dense, 0, strides)
 
 
 def _dense_rows(strips: np.ndarray) -> np.ndarray:
-    """Strips (..., R, d, w) as dense block rows (..., R d, (R - 1) d + w),
-    zero outside the strips."""
-    *lead, rows, d, w = strips.shape
-    dense = np.zeros((*lead, rows * d, (rows - 1) * d + w), dtype=strips.dtype)
+    """Strips (R, d, w) as dense block rows (R d, (R - 1) d + w), zero
+    outside the strips."""
+    rows, d, w = strips.shape
+    dense = np.zeros((rows * d, (rows - 1) * d + w), dtype=strips.dtype)
     _skew(dense, d, w)[...] = strips
     return dense
 
@@ -103,9 +109,12 @@ class ToeplitzTruncation:
     entries with both indices below ``window_limit`` match the
     infinite-operator counterpart.  ``strips`` has shape (N, d, (2 b + 1) d),
     b = min(margin, N - 1) the stored band: row i holds block columns i - b ..
-    i + b, and the parts outside the section stay zero; it is C-contiguous,
-    so that ``@`` can view overlapping row ranges of it.  ``data`` is the
+    i + b, and the parts outside the section stay zero.  ``data`` is the
     dense matrix, built on demand for callers that need one.
+
+    ``@`` assumes each factor is Toeplitz in its block rows
+    [margin, N - margin), each row there the row ``margin`` shifted along
+    the diagonal; that holds for every section this module builds.
     """
 
     order: int
@@ -174,66 +183,40 @@ class ToeplitzTruncation:
         return ToeplitzTruncation(n, d, self.margin, strips)
 
     def __matmul__(self, other: "ToeplitzTruncation") -> "ToeplitzTruncation":
-        """Product of sections, multiplied only inside the factors' block bands.
+        """Product of sections: block rows [0, M] and the last M rows, M the
+        sum a + b of the factors' margins, each as one dense product of the
+        factors' blocks inside their bands, and copies of row M between them
+        (module docstring).
 
-        Block (i, j) of a factor is zero for |i - j| > margin, so block row i
-        of the product reads block columns i - a .. i + a of ``self`` and
-        writes block columns i - a - b .. i + a + b (a, b the margins).  Rows
-        go in tiles of ``max(a + b, 8)`` blocks, at least 8 so that a small
-        section stays one BLAS call; a tile that spans the whole section is
-        exactly ``self.data @ other.data``.  Each tile is the dense product
-        of the factors' blocks (tile rows x ``mid``) and (``mid`` x ``cols``),
-        clipped to the section.  Interior tiles, where nothing is clipped,
-        all have one shape: they are gathered from the strips with one
-        strided copy and multiplied as a stack.
+        Block row i of the product reads block columns i - a .. i + a of
+        ``self`` and writes block columns i - M .. i + M.  A section of at
+        most M + 1 blocks is one product, exactly ``self.data @ other.data``.
         """
         if not isinstance(other, ToeplitzTruncation):
             return NotImplemented
         self._combine_dims(other)
         n, d = self.order, self.block_dim
         a, b = self.margin, other.margin
-        tile = max(a + b, 8)
-        band = _band(n, a + b)
+        m = a + b
+        band, ba, bb = _band(n, m), self.band, other.band
         width = (2 * band + 1) * d
-        out = np.zeros((n, d, width), dtype=complex)
-
-        # tiles first .. stop - 1 are interior: there a, b and a + b are also
-        # the stored bands, and the dense rows of a strip stack are the tiles
-        first, stop = (1 if a + b else 0), (n - a - b) // tile
-        mid, cols = tile + 2 * a, tile + 2 * a + 2 * b
-        tile_bytes = out.itemsize * d * d * (tile * mid + mid * cols + tile * cols)
-        stack = max(_STACK_BYTES // tile_bytes, 1)
-        step = other.strips.strides[0]
-        for k0 in range(first, stop, stack):
-            k1 = min(k0 + stack, stop)
-            i0, i1 = k0 * tile, k1 * tile
-            lhs = self.strips[i0:i1].reshape(k1 - k0, tile, d, -1)
-            # the mid rows of consecutive tiles overlap: one strided view of them
-            rhs = np.ndarray((k1 - k0, mid, *other.strips.shape[1:]), complex, other.strips,
-                             (i0 - a) * step, (tile * step, *other.strips.strides))
-            prod = _dense_rows(lhs) @ _dense_rows(rhs)
-            out[i0:i1].reshape(k1 - k0, tile, d, width)[...] = _skew(prod, d, width)
-
-        # the clipped tiles, at most one at the top and two at the bottom: each
-        # group of them gathers its factors' dense rows once
-        ba, bb = self.band, other.band
-        for g0, g1 in [(0, first * tile), (stop * tile, n)] if first < stop else [(0, n)]:
-            if g0 == g1:
+        out = np.empty((n, d, width), dtype=complex)
+        head = min(m + 1, n)
+        tail = max(n - m, head)
+        for g0, g1 in ((0, head), (tail, n)):
+            if g0 >= g1:
                 continue
-            h0, h1 = max(g0 - a, 0), min(g1 + a, n)
+            m0, m1 = max(g0 - a, 0), min(g1 + a, n)
+            c0, c1 = max(g0 - m, 0), min(g1 + m, n)
             # dense rows of strips r0 .. r1 start at block column r0 - (stored band)
-            lhs, rhs = _dense_rows(self.strips[g0:g1]), _dense_rows(other.strips[h0:h1])
+            lhs = _dense_rows(self.strips[g0:g1])[:, (m0 - g0 + ba) * d:(m1 - g0 + ba) * d]
+            rhs = _dense_rows(other.strips[m0:m1])[:, (c0 - m0 + bb) * d:(c1 - m0 + bb) * d]
             prod = np.zeros(((g1 - g0) * d, (g1 - g0 - 1) * d + width), dtype=complex)
-            for i0 in range(g0, g1, tile):
-                i1 = min(i0 + tile, n)
-                m0, m1 = max(i0 - a, 0), min(i1 + a, n)
-                c0, c1 = max(i0 - a - b, 0), min(i1 + a + b, n)
-                prod[(i0 - g0) * d:(i1 - g0) * d, (c0 - g0 + band) * d:(c1 - g0 + band) * d] = (
-                    lhs[(i0 - g0) * d:(i1 - g0) * d, (m0 - g0 + ba) * d:(m1 - g0 + ba) * d]
-                    @ rhs[(m0 - h0) * d:(m1 - h0) * d, (c0 - h0 + bb) * d:(c1 - h0 + bb) * d]
-                )
+            prod[:, (c0 - g0 + band) * d:(c1 - g0 + band) * d] = lhs @ rhs
             out[g0:g1] = _skew(prod, d, width)
-        return ToeplitzTruncation(n, d, a + b, out)
+        if tail > head:
+            out[head:tail] = out[m]
+        return ToeplitzTruncation(n, d, m, out)
 
     def _widened(self, band: int) -> np.ndarray:
         """The strips with the stored band widened to ``band`` by zeros."""

@@ -269,6 +269,20 @@ def test_classifier_corpus_verdicts_do_not_depend_on_scale():
             assert verdicts(s * phi) == verdicts(phi), (kind, phi, s)
 
 
+def test_a_relation_residual_beyond_the_float_range_reads_not_normal():
+    # gamma = -1 from the first pair; at n = 2 the residual is
+    # 1e308 - 1.5e308 i, finite in both parts, but |.| is about 1.8e308
+    phi = ScalarSymbol({1: 1.5e308, -1: -1.5e308, 2: 1e308, -2: -1.5e308j})
+    cert = brown_halmos_normal_test(phi)
+    assert cert.verdict == "not_normal"
+    assert cert.witness["index"] == 2 and cert.witness["gamma"] == -1
+    assert scalar_binormal_classify(phi).verdict == "not_binormal"
+    # the same residual scaled down, and a normal symbol at the same scale
+    assert brown_halmos_normal_test(1e-10 * phi).verdict == "not_normal"
+    assert brown_halmos_normal_test(ScalarSymbol({1: 1e308, -1: 1e308, 2: 1e308j, -2: -1e308j})).verdict == "normal"
+    render_json(cert.to_json())
+
+
 def test_circulant_classify_monomial_rows():
     res = circulant_binormal_classify(CirculantSymbol([Z, Z]))
     assert res.aggregate == "binormal"

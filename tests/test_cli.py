@@ -204,6 +204,19 @@ def test_classify_reports_an_extreme_scale_analytic_symbol(tmp_path, coeffs):
     assert report["binormal"]["verdict"] == ("binormal" if len(coeffs) == 1 else "not_binormal")
 
 
+def test_classify_reports_a_symbol_whose_relation_residual_overflows(tmp_path, capsys):
+    # c_{-2} - gamma conj(c_2) = 1e308 - 1.5e308 i has a modulus beyond the
+    # float range: not normal, with no traceback
+    coeffs = {"1": [[[1.5e308, 0.0]]], "-1": [[[-1.5e308, 0.0]]],
+              "2": [[[1e308, 0.0]]], "-2": [[[0.0, -1.5e308]]]}
+    path = _write_input(tmp_path, {"dim": 1, "coeffs": coeffs}, "big.json")
+    code, report = _run(tmp_path, "classify", "--input", path)
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert report["normal"]["verdict"] == "not_normal" and report["normal"]["witness"]["index"] == 2
+    assert report["binormal"]["verdict"] == "not_binormal"
+
+
 @pytest.mark.parametrize("command", ["classify", "diagonalize"])
 def test_a_circulant_whose_eigen_symbols_overflow_exits_2(tmp_path, capsys, command):
     # lambda_0 = 2e308 (1 + z): refused, not pruned to a zero symbol

@@ -226,6 +226,13 @@ def test_a_finite_coefficient_whose_modulus_overflows_is_rejected():
     assert ScalarSymbol({1: complex(1e308, 1e308)}).coeff(1) == complex(1e308, 1e308)
 
 
+def test_a_coefficient_difference_beyond_the_float_range_is_inf():
+    a, b = ScalarSymbol({0: 1.5e308, 1: 1.0}), ScalarSymbol({0: -1.5e308j, 1: 1.0})
+    assert a.max_coeff_diff(b) == b.max_coeff_diff(a) == np.inf
+    assert a.max_coeff_diff(a) == 0.0
+    assert ScalarSymbol({0: 1e308}).max_coeff_diff(ScalarSymbol({0: -1e308j})) == abs(complex(1e308, 1e308))
+
+
 def test_overflowing_arithmetic_is_rejected():
     big = ScalarSymbol.constant(1e200)
     with pytest.raises(ValueError):

@@ -518,32 +518,42 @@ def test_banded_product_matches_the_dense_product():
             _assert_product_matches_dense(a, b)
 
 
-def test_a_product_in_one_tile_is_the_dense_product_bitwise():
-    # a section of at most 8 blocks, or of at most a + b blocks, is one tile
+def test_a_product_in_one_corner_is_the_dense_product_bitwise():
+    # a section of at most M + 1 blocks, M = a + b, is one head product; up
+    # to 2 M + 2 blocks the head and tail products meet or leave one row
     rng = np.random.default_rng(92)
     for dim in (1, 2, 3):
         for wx, wy in ((0, 0), (1, 2), (3, 3), (4, 5)):
-            for order in range(1, max(wx + wy, 8) + 1):
+            m = wx + wy
+            for order in range(1, max(2 * m + 2, 8) + 1):
                 x = truncate(_banded(rng, dim, wx), order)
                 y = truncate(_banded(rng, dim, wy), order)
                 for a, b in ((x, y), (x.adjoint(), y), (x.entry(0, dim - 1), y.entry(dim - 1, 0))):
-                    assert np.array_equal((a @ b).data, a.data @ b.data)
+                    p = (a @ b).data
+                    assert np.array_equal(p, _dense_corner_product(a, b))
+                    if order <= m + 1:
+                        assert np.array_equal(p, a.data @ b.data)
 
 
-def _dense_tiled_product(x, y):
-    """Reference for ``x @ y`` on the dense sections: tiles of max(a + b, 8)
-    block rows, each the product of the factors' blocks inside their bands."""
+def _dense_corner_product(x, y):
+    """Reference for ``x @ y`` on the dense sections: block rows
+    [0, min(M + 1, N)) and [max(N - M, M + 1), N), M = a + b, each the
+    product of the factors' blocks inside their bands, and every row between
+    a copy of row M, shifted along the diagonal."""
     n, d = x.order, x.block_dim
-    a, b = x.margin, y.margin
+    a, m = x.margin, x.margin + y.margin
     xd, yd = x.data, y.data
-    tile = max(a + b, 8)
     out = np.zeros(xd.shape, dtype=complex)
-    for i0 in range(0, n, tile):
-        i1 = min(i0 + tile, n)
-        rows = slice(i0 * d, i1 * d)
-        mid = slice(max(i0 - a, 0) * d, min(i1 + a, n) * d)
-        cols = slice(max(i0 - a - b, 0) * d, min(i1 + a + b, n) * d)
-        out[rows, cols] = xd[rows, mid] @ yd[mid, cols]
+    head = min(m + 1, n)
+    tail = max(n - m, head)
+    for i0, i1 in ((0, head), (tail, n)):
+        if i0 < i1:
+            rows = slice(i0 * d, i1 * d)
+            mid = slice(max(i0 - a, 0) * d, min(i1 + a, n) * d)
+            cols = slice(max(i0 - m, 0) * d, min(i1 + m, n) * d)
+            out[rows, cols] = xd[rows, mid] @ yd[mid, cols]
+    for i in range(head, tail):
+        out[i * d:(i + 1) * d, (i - m) * d:(i + m + 1) * d] = out[m * d:(m + 1) * d, :(2 * m + 1) * d]
     return out
 
 
@@ -559,7 +569,7 @@ def _assert_strips_zero_outside_the_section(t):
 
 def _assert_matches_the_dense_oracle(x, y):
     xd, yd = x.data, y.data
-    assert np.array_equal((x @ y).data, _dense_tiled_product(x, y))
+    assert np.array_equal((x @ y).data, _dense_corner_product(x, y))
     assert np.array_equal(x.adjoint().data, xd.conj().T)
     assert np.array_equal((x + y).data, xd + yd)
     assert np.array_equal((x - y).data, xd - yd)
@@ -573,15 +583,17 @@ def _assert_matches_the_dense_oracle(x, y):
         assert np.array_equal(x.entry(a, b).data, xd[a::d, b::d])
 
 
-@pytest.mark.parametrize("stack_bytes", [1, toeplitz._STACK_BYTES], ids=["one-tile", "default"])
-def test_strip_operations_are_the_dense_operations_bitwise(monkeypatch, stack_bytes):
-    # orders of at least 4 tiles, so most tiles are interior and go through the
-    # stacked route; one tile per stack at stack_bytes = 1
-    monkeypatch.setattr(toeplitz, "_STACK_BYTES", stack_bytes)
+@pytest.mark.parametrize("orders", [
+    lambda m: (4 * max(m, 8) + 3, 72),
+    lambda m: range(1, m + 2),
+], ids=["default", "one-tile"])
+def test_strip_operations_are_the_dense_operations_bitwise(orders):
+    # default: orders far above 2 M + 1, so most rows of every product are
+    # copies; one-tile: orders up to M + 1, so x @ y is one head product
     rng = np.random.default_rng(93)
     for dim in (1, 2, 3, 8):
         for wx, wy in ((0, 0), (0, 3), (1, 2), (3, 1), (2, 2), (3, 3)):
-            for order in (4 * max(wx + wy, 8) + 3, 72):
+            for order in orders(wx + wy):
                 x = truncate(_banded(rng, dim, wx), order)
                 y = truncate(_banded(rng, dim, wy), order)
                 xs = x.adjoint()
@@ -590,6 +602,71 @@ def test_strip_operations_are_the_dense_operations_bitwise(monkeypatch, stack_by
                 e, f = x.entry(dim - 1, 0), (y @ xs).entry(0, dim // 2)
                 _assert_matches_the_dense_oracle(e, f)
                 _assert_matches_the_dense_oracle(f @ e, e.adjoint())
+
+
+def _factor_pairs(x, y):
+    """Pairs of factors built from the sections x and y by adjoints, sums,
+    differences, products and entries."""
+    xs, d = x.adjoint(), x.block_dim
+    return [(x, y), (xs, x), (x + y, y.adjoint()), (x - xs, x @ y),
+            (x.entry(0, d - 1), (xs @ x).entry(d - 1, 0))]
+
+
+def test_the_rows_between_the_corners_are_row_m():
+    # from order 2 M + 2 on, rows M + 1 .. N - M - 1 are copies of row M; the
+    # product stays the dense product up to rounding at every order
+    rng = np.random.default_rng(95)
+    for dim in (1, 2):
+        for wx, wy in ((0, 2), (1, 1), (2, 3)):
+            phi, psi = _banded(rng, dim, wx), _banded(rng, dim, wy)
+            margins = [a.margin + b.margin for a, b in _factor_pairs(truncate(phi, 1), truncate(psi, 1))]
+            for k, m in enumerate(margins):
+                for order in (2 * m + 1, 2 * m + 2, 64, 257):
+                    a, b = _factor_pairs(truncate(phi, order), truncate(psi, order))[k]
+                    p = a @ b
+                    assert p.margin == m
+                    assert (p.strips[m + 1:order - m] == p.strips[m]).all()
+                    _assert_product_matches_dense(a, b)
+
+
+def _check_grid_circulants(rng, dim):
+    """A generic circulant and a commuting-normal one of block size dim, each
+    scaled by s in [1, 100], as in the benchmark's check grid."""
+    f = rand_scalar(rng, 3)
+    pairs = [(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))) for _ in range(dim)]
+    rows = [[rand_scalar(rng, 3) for _ in range(dim)], commuting_normal_family(f + f.conj_reflect(), pairs)]
+    scales = 10 ** rng.uniform(0.0, 2.0, size=2)
+    return [CirculantSymbol([s * r for r in row]).as_matrix_symbol() for s, row in zip(scales, rows)]
+
+
+def test_window_norms_do_not_depend_on_the_order_bitwise():
+    # from order 3 M + 1 on the window holds the whole head product, rows
+    # 0 .. M, and otherwise copies of row M, so its largest entry is the same
+    # float at every order; at 2 M + 1 it reads the lags n < 0 of row M from
+    # the head rows above it instead, which agree up to rounding
+    rng = np.random.default_rng(96)
+    for dim in (1, 4, 8):
+        for phi in _check_grid_circulants(rng, dim):
+            bound = sum(float(np.linalg.norm(c, 2)) for _, c in phi.items())
+            for prop in ("normal", "quasinormal", "binormal"):
+                exact = commutator_report(phi, prop)
+                m = exact.order // 2
+                norm = commutator_matrix(phi, prop, 3 * m + 1).window_max_abs()
+                for order in (64, 128, 256):
+                    assert commutator_matrix(phi, prop, order).window_max_abs() == norm
+                assert exact.verdict == commutator_report(phi, prop, 64).verdict
+                assert abs(exact.window_norm - norm) <= 1e-12 * max(norm, bound ** FACTORS[prop])
+
+
+def test_a_binormal_check_at_order_4096_reads_its_exact_order_norm_bitwise():
+    # the largest window entry of this symbol's commutator lies in the
+    # Hankel corner, which both orders read from the same head product
+    rng = np.random.default_rng(97)
+    phi = MatrixSymbol(8, {n: rng.standard_normal((8, 8, 2)) @ [1, 1j] for n in range(-3, 4)})
+    exact = commutator_report(phi, "binormal")
+    far = commutator_report(phi, "binormal", 4096)
+    assert exact.order == 25 and far.window_limit == (4096 - 12) * 8
+    assert far.window_norm == exact.window_norm == commutator_report(phi, "binormal", 37).window_norm
 
 
 def test_a_product_keeps_its_section_small():
