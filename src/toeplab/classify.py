@@ -215,20 +215,8 @@ class ConditionSystemReport:
         return all(r <= self.tolerance for r in self.system_a)
 
     @property
-    def system_b_holds(self) -> bool:
-        return all(r <= self.tolerance for r in self.system_b)
-
-    @property
-    def normality_holds(self) -> bool:
-        return all(r <= self.tolerance for r in self.normality)
-
-    @property
     def binormal_consistent(self) -> bool:
         return self.system_a_holds == (self.binormal_report.verdict == VERDICT_CLEAN)
-
-    @property
-    def normal_consistent(self) -> bool:
-        return self.normality_holds == (self.normal_report.verdict == VERDICT_CLEAN)
 
 
 def block2_condition_system(

@@ -24,7 +24,9 @@ Verdicts are data, not failures: exit status is 0 for a completed run,
 (a product that overflows to a non-finite entry included, with numpy's
 overflow warnings silenced so that the refusal is the one message) and for
 an ``--out`` that cannot be written.
-``probe-t41`` reads whole sections.  ``diagonalize`` compares U* Phi_n U
+``probe-t41`` reads whole sections, and refuses with exit 2 an order whose
+section would exceed ``toeplitz.CHAIN_BUDGET_BYTES`` (order > 2048).
+``diagonalize`` compares U* Phi_n U
 with Lambda_n lag by lag (see ``circulant.diagonalize_check``), and
 ``reduce`` reads the symbol's coefficients with each lag weighted by its
 count in the section and the projectors' d x d blocks (see
@@ -200,7 +202,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     order = args.order
     projectors = reducing_projectors(circ, order)
     sym = circ.as_matrix_symbol()
-    reports = [verify_reducing(p, sym, order, args.tolerance) for p in projectors]
+    reports = [verify_reducing(p, sym, tolerance=args.tolerance) for p in projectors]
     payload = {
         "meta": _meta(args),
         "n": circ.n,

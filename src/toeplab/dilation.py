@@ -18,7 +18,7 @@ import numpy as np
 
 from .circulant import CirculantSymbol, circulant_eigen_symbols, dft_unitary
 from .symbols import MatrixSymbol, ScalarSymbol
-from .toeplitz import truncate
+from .toeplitz import CHAIN_BUDGET_BYTES, truncate
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,19 @@ def theorem41_probe(
       maximum gap decides the consistent/inconsistent verdict;
     * the residual of the one natural candidate conjugation, blockwise
       application of the 2 x 2 DFT unitary.
+
+    The probe builds several dense (2N) x (2N) sections; an order whose
+    section would exceed ``CHAIN_BUDGET_BYTES`` (order > 2048) is refused
+    with ``ValueError`` before any is built.
     """
     if phi.dim != 2:
         raise ValueError(f"probe is defined for 2 x 2 symbols, got dim {phi.dim}")
+    size = 16 * (2 * order) ** 2
+    if size > CHAIN_BUDGET_BYTES:
+        raise ValueError(
+            f"the probe builds dense sections of {size / 2**20:.0f} MiB each (order {order}), "
+            f"above the {CHAIN_BUDGET_BYTES >> 20} MiB budget"
+        )
     psi11, _, lam11, _ = psi_lambda_blocks(phi)
     # block (i, j) of a section is the coefficient at i - j, so the compression
     # of the dilated section is the psi11 section exactly when their

@@ -131,14 +131,15 @@ class ReducingReport:
 def verify_reducing(
     q: OrthogonalProjector,
     phi: MatrixSymbol | ScalarSymbol,
-    order: int,
+    *,
     tolerance: float = 1e-10,
 ) -> ReducingReport:
     """Commutator and block-diagonality evidence for one projector.
 
-    The projector Q = I_N (x) P must have the order N of the section and a
-    block P of the symbol's size d, and P must be an orthogonal projector;
-    anything else raises ``ValueError``.  Then
+    The projector Q = I_N (x) P sets the order N of the section.  Its block P
+    must have the symbol's size d, a ``ScalarSymbol`` being a symbol of block
+    size 1, and P must be an orthogonal projector; anything else raises
+    ``ValueError``.  Then
     [Q, T(Phi)] is the section of the symbol [P, Phi], and every number is
     read from the coefficients Phi_n with no section built: lag n occurs
     w_n = max(N - |n|, 0) times in an N x N block section, so
@@ -158,14 +159,11 @@ def verify_reducing(
     coefficient and the verdict also holds for the infinite block Toeplitz
     operator.
     """
-    sym = phi.as_matrix() if isinstance(phi, ScalarSymbol) else phi
-    d = sym.dim
+    d = phi.dim
     p = q.block
-    if q.order != order or p.shape != (d, d):
-        raise ValueError(
-            f"projector I_{q.order} (x) P with P of shape {p.shape} does not match "
-            f"the order-{order} section of a {d} x {d} symbol"
-        )
+    order = q.order
+    if p.shape != (d, d):
+        raise ValueError(f"projector block P of shape {p.shape} does not match a {d} x {d} symbol")
     h, i = q.invariant_residuals()
     if not (h <= PROJECTOR_TOL and i <= PROJECTOR_TOL):
         raise ValueError(
@@ -173,7 +171,7 @@ def verify_reducing(
             f"idempotency residual {i:.3e})"
         )
 
-    lags = [(n, mat) for n, mat in sym.items() if abs(n) < order]
+    lags = [(n, mat) for n, mat in phi.items() if abs(n) < order]
     weights = np.array([order - abs(n) for n, _ in lags], dtype=float)
     coeffs = np.array([mat for _, mat in lags], dtype=complex).reshape(-1, d, d)
     pc = p @ coeffs

@@ -390,7 +390,7 @@ def criterion_reducing_subspaces(seed: int = ACCEPTANCE_SEED) -> CriterionResult
             failures.append({"fixture": i, "problem": "sum_to_identity"})
         sym = c.as_matrix_symbol()
         for k, p in enumerate(projs):
-            rep = verify_reducing(p, sym, order, RESIDUAL_TOL)
+            rep = verify_reducing(p, sym, tolerance=RESIDUAL_TOL)
             if rep.verdict != "reducing":
                 failures.append({"fixture": i, "projector": k, "problem": "commutator"})
     return CriterionResult(

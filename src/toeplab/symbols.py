@@ -12,6 +12,15 @@ sums.  Symbols are immutable value objects; all arithmetic returns new
 instances, so they are safe to share across threads.
 Every identity the package checks is an identity between coefficients, so a
 symbol is never evaluated at points of the circle.
+
+Both classes extend ``LaurentSymbol``, the one store of the coefficients
+and of the queries on it.  A scalar symbol is the symbol of block size 1
+(``dim`` 1): a complex coefficient fills a 1 x 1 block with the same bits
+as a 1 x 1 array, so sections and reducing checks never convert it.  Each
+class keeps its own arithmetic, which tests pin bitwise, and its own
+``__add__``, ``__mul__`` and ``__rmul__`` (with ``MatrixSymbol``'s
+``from_entries``, ``entry`` and ``adjoint``): perfbench's tracer wraps the
+methods a class body defines.
 """
 
 from __future__ import annotations
@@ -31,10 +40,43 @@ def modulus(c: complex) -> float:
         return inf
 
 
-class ScalarSymbol:
-    """A complex Laurent polynomial, stored as a sparse index->coefficient map."""
+class LaurentSymbol:
+    """The nonzero coefficients of a symbol, by index in increasing order."""
 
     __slots__ = ("_coeffs",)
+
+    def items(self) -> Iterator[tuple[int, complex | np.ndarray]]:
+        return iter(self._coeffs.items())
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        return tuple(self._coeffs)
+
+    @property
+    def bandwidth(self) -> int:
+        """max(|lowest index|, highest index); 0 for constants and zero."""
+        if not self._coeffs:
+            return 0
+        return max(max(self._coeffs), -min(self._coeffs), 0)
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def is_analytic(self) -> bool:
+        return all(n >= 0 for n in self._coeffs)
+
+    def is_coanalytic(self) -> bool:
+        return all(n <= 0 for n in self._coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class ScalarSymbol(LaurentSymbol):
+    """A complex Laurent polynomial: the symbol of block size 1."""
+
+    __slots__ = ()
+    dim = 1
 
     def __init__(self, coeffs: Mapping[int, complex] | None = None):
         kept: dict[int, complex] = {}
@@ -68,29 +110,6 @@ class ScalarSymbol:
     def coeff(self, n: int) -> complex:
         return self._coeffs.get(n, 0j)
 
-    def items(self) -> Iterator[tuple[int, complex]]:
-        return iter(self._coeffs.items())
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(self._coeffs)
-
-    @property
-    def bandwidth(self) -> int:
-        """max(|lowest index|, highest index); 0 for constants and zero."""
-        if not self._coeffs:
-            return 0
-        return max(max(self._coeffs), -min(self._coeffs), 0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def is_analytic(self) -> bool:
-        return all(n >= 0 for n in self._coeffs)
-
-    def is_coanalytic(self) -> bool:
-        return all(n <= 0 for n in self._coeffs)
-
     def max_modulus_coeff(self) -> float:
         return max((abs(c) for c in self._coeffs.values()), default=0.0)
 
@@ -107,9 +126,6 @@ class ScalarSymbol:
         for n, c in other._coeffs.items():
             out[n] = out.get(n, 0j) + c
         return ScalarSymbol(out)
-
-    def __sub__(self, other: "ScalarSymbol") -> "ScalarSymbol":
-        return self + (-other)
 
     def __neg__(self) -> "ScalarSymbol":
         return ScalarSymbol({n: -c for n, c in self._coeffs.items()})
@@ -149,14 +165,11 @@ class ScalarSymbol:
         terms = ", ".join(f"{n}: {c}" for n, c in self.items())
         return f"ScalarSymbol({{{terms}}})"
 
-    def as_matrix(self) -> "MatrixSymbol":
-        return MatrixSymbol(1, {n: np.array([[c]], dtype=complex) for n, c in self._coeffs.items()})
 
-
-class MatrixSymbol:
+class MatrixSymbol(LaurentSymbol):
     """A d x d matrix-valued Laurent polynomial, one dense matrix per index."""
 
-    __slots__ = ("_dim", "_coeffs")
+    __slots__ = ("_dim",)
 
     def __init__(self, dim: int, coeffs: Mapping[int, np.ndarray] | None = None):
         dim = int(dim)
@@ -214,28 +227,6 @@ class MatrixSymbol:
             return np.zeros((self._dim, self._dim), dtype=complex)
         return mat
 
-    def items(self) -> Iterator[tuple[int, np.ndarray]]:
-        return iter(self._coeffs.items())
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(self._coeffs)
-
-    @property
-    def bandwidth(self) -> int:
-        if not self._coeffs:
-            return 0
-        return max(max(self._coeffs), -min(self._coeffs), 0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def is_analytic(self) -> bool:
-        return all(n >= 0 for n in self._coeffs)
-
-    def is_coanalytic(self) -> bool:
-        return all(n <= 0 for n in self._coeffs)
-
     def entry(self, i: int, j: int) -> ScalarSymbol:
         """Extract entry (i, j) across all indices as a ScalarSymbol."""
         return ScalarSymbol({n: mat[i, j] for n, mat in self._coeffs.items()})
@@ -259,9 +250,6 @@ class MatrixSymbol:
             self._dim,
             {n: self.coeff(n) + other.coeff(n) for n in set(self._coeffs) | set(other._coeffs)},
         )
-
-    def __sub__(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        return self + (-other)
 
     def __neg__(self) -> "MatrixSymbol":
         return MatrixSymbol(self._dim, {n: -m for n, m in self._coeffs.items()})

@@ -262,18 +262,18 @@ class ToeplitzTruncation:
 def truncate(symbol: MatrixSymbol | ScalarSymbol, order: int) -> ToeplitzTruncation:
     """Finite section with block (i, j) = coefficient at i - j.
 
-    The section is defined and exact for every order >= 1.  Whether the
-    order leaves a product a window is decided by ``window_max_abs`` from
-    the product's margin, not by this builder.
+    A ``ScalarSymbol`` is a symbol of block size 1: each complex coefficient
+    fills its 1 x 1 block.  The section is defined and exact for every
+    order >= 1.  Whether the order leaves a product a window is decided by
+    ``window_max_abs`` from the product's margin, not by this builder.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    phi = symbol.as_matrix() if isinstance(symbol, ScalarSymbol) else symbol
-    w = phi.bandwidth
-    d = phi.dim
+    w = symbol.bandwidth
+    d = symbol.dim
     band = _band(order, w)
     strips = np.zeros((order, d, 2 * band + 1, d), dtype=complex)
-    for n, mat in phi.items():
+    for n, mat in symbol.items():
         # coefficient n sits on block diagonal i - j = n, strip position band - n
         if abs(n) <= band:
             strips[max(n, 0):min(order, order + n), :, band - n, :] = mat
@@ -333,25 +333,24 @@ def commutator_matrix(
 
     ``f-selfadjoint`` is F - F* with F = S* (T*T)(TT*) S - (T*T)(TT*) and S
     the shift, the section of the symbol z; for scalar symbols F = F* is
-    equivalent to binormality.  It takes a symbol of block size 1, a
-    ``ScalarSymbol`` or a 1 x 1 ``MatrixSymbol``; a larger block raises
-    ``ValueError``.  The product's margin is 2w, 3w, 4w or 4w + 2
-    (normal, quasinormal, binormal, f-selfadjoint) for a symbol of bandwidth
-    w, and the default order is ``exact_order`` of it, where the product's
-    window decides the identity for T(Phi) itself.  An explicit order builds
-    the same products at that order.  A chain whose largest strip array
-    would exceed ``CHAIN_BUDGET_BYTES`` is refused with ``ValueError`` before
-    the section is built.
+    equivalent to binormality.  It takes a symbol of block size 1 (``dim``
+    1); a larger block raises ``ValueError``.  The product's margin is 2w,
+    3w, 4w or 4w + 2 (normal, quasinormal, binormal, f-selfadjoint) for a
+    symbol of bandwidth w, and the default order is ``exact_order`` of it,
+    where the product's window decides the identity for T(Phi) itself.  An
+    explicit order builds the same products at that order.  A chain whose
+    largest strip array would exceed ``CHAIN_BUDGET_BYTES`` is refused with
+    ``ValueError`` before the section is built.
     """
     if property not in _PRODUCT_MARGINS:
         raise ValueError(f"unknown property {property!r}; expected one of {PROPERTIES}")
-    if property == "f-selfadjoint" and isinstance(symbol, MatrixSymbol) and symbol.dim != 1:
+    if property == "f-selfadjoint" and symbol.dim != 1:
         raise ValueError("the f-selfadjoint check applies to scalar symbols only")
     a, b = _PRODUCT_MARGINS[property]
     margin = a * symbol.bandwidth + b
     if order is None:
         order = exact_order(margin)
-    _refuse_oversized_chain(order, 1 if isinstance(symbol, ScalarSymbol) else symbol.dim, margin)
+    _refuse_oversized_chain(order, symbol.dim, margin)
     t = truncate(symbol, order)
     ts = t.adjoint()
     if property == "normal":

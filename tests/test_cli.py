@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from toeplab import cli
+from toeplab import cli, dilation
 
 # a 2 x 2 circulant with bandwidth w = 2: the binormal product's margin is 4w = 8
 CIRCULANT = {
@@ -46,6 +46,17 @@ def test_probe_t41_reports_at_order_4w(tmp_path):
                      "--out", str(out)])
     assert code == cli.EXIT_OK
     assert json.loads(out.read_text(encoding="utf-8"))["order"] == 8
+
+
+def test_probe_t41_refuses_an_order_above_the_budget(tmp_path, capsys, monkeypatch):
+    def no_section(*args):
+        raise AssertionError("a section was built")
+
+    monkeypatch.setattr(dilation, "truncate", no_section)
+    for order in ("2049", "100000"):
+        code, _ = _run(tmp_path, "probe-t41", "--input", _write_input(tmp_path), "--order", order)
+        assert code == cli.EXIT_PARSE
+        assert "MiB budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("prop,margin", [("normal", 4), ("quasinormal", 6), ("binormal", 8)])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from toeplab import dilation
 from toeplab.circulant import CirculantSymbol, diagonalize_check
 from toeplab.dilation import gamma, gamma_adjoint, psi_lambda_blocks, theorem41_probe
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
+from toeplab.toeplitz import CHAIN_BUDGET_BYTES
 
 Z = ScalarSymbol.monomial(1)
 ONE = ScalarSymbol.constant(1.0)
@@ -188,3 +190,14 @@ def test_probe_json_truncates_singular_values():
 def test_probe_requires_dim_2():
     with pytest.raises(ValueError):
         theorem41_probe(MatrixSymbol.identity(3), 24)
+
+
+def test_probe_refuses_an_order_above_the_budget_before_building_a_section(monkeypatch):
+    def no_section(*args):
+        raise AssertionError("a section was built")
+
+    monkeypatch.setattr(dilation, "truncate", no_section)
+    # a (2N) x (2N) complex section takes 64 N^2 bytes: 256 MiB at N = 2048
+    assert 64 * 2048**2 == CHAIN_BUDGET_BYTES
+    with pytest.raises(ValueError, match="above the 256 MiB budget"):
+        theorem41_probe(MatrixSymbol.identity(2), 2049)

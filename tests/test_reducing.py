@@ -98,7 +98,7 @@ def test_projectors_and_their_verification_stay_small_at_order_one_million():
     tracemalloc.start()
     try:
         projs = reducing_projectors(c, order)
-        reports = [verify_reducing(q, sym, order, 1e-10) for q in projs]
+        reports = [verify_reducing(q, sym, tolerance=1e-10) for q in projs]
         residual = resolution_residual(projs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -132,7 +132,7 @@ def test_projectors_commute_with_circulant_truncation():
         c = rand_circulant(rng, n)
         sym = c.as_matrix_symbol()
         for p in reducing_projectors(c, 16):
-            rep = verify_reducing(p, sym, 16, 1e-10)
+            rep = verify_reducing(p, sym, tolerance=1e-10)
             assert rep.verdict == "reducing"
             assert not rep.trivial
             assert rep.offdiagonal_norm <= 1e-10
@@ -145,7 +145,7 @@ def test_projectors_reduce_circulant_at_orders_up_to_4w(order):
     assert c.bandwidth == 2
     sym = c.as_matrix_symbol()
     for p in reducing_projectors(c, order):
-        rep = verify_reducing(p, sym, order, 1e-10)
+        rep = verify_reducing(p, sym, tolerance=1e-10)
         assert rep.verdict == "reducing"
         assert not rep.trivial
 
@@ -158,7 +158,7 @@ def test_full_projector_is_trivially_reducing():
     rng = np.random.default_rng(54)
     c = rand_circulant(rng, 2)
     q = OrthogonalProjector(np.eye(2, dtype=complex), 8)
-    rep = verify_reducing(q, c.as_matrix_symbol(), 8, 1e-10)
+    rep = verify_reducing(q, c.as_matrix_symbol(), tolerance=1e-10)
     assert rep.verdict == "reducing"
     assert rep.trivial
 
@@ -168,16 +168,24 @@ def test_verify_rejects_non_projector():
     junk = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q = OrthogonalProjector(junk, 4)
     with pytest.raises(ValueError):
-        verify_reducing(q, rand_circulant(rng, 2).as_matrix_symbol(), 4, 1e-10)
+        verify_reducing(q, rand_circulant(rng, 2).as_matrix_symbol(), tolerance=1e-10)
 
 
 def test_verify_rejects_dimension_mismatch():
     rng = np.random.default_rng(56)
     c = rand_circulant(rng, 2)
-    for q in (OrthogonalProjector(np.eye(2, dtype=complex), 5),
-              OrthogonalProjector(np.eye(3, dtype=complex), 16)):
-        with pytest.raises(ValueError, match="does not match"):
-            verify_reducing(q, c.as_matrix_symbol(), 16, 1e-10)
+    q = OrthogonalProjector(np.eye(3, dtype=complex), 16)
+    with pytest.raises(ValueError, match="does not match"):
+        verify_reducing(q, c.as_matrix_symbol(), tolerance=1e-10)
+
+
+def test_verify_takes_its_order_from_the_projector():
+    c = rand_circulant(np.random.default_rng(59), 2)
+    q = OrthogonalProjector(np.eye(2, dtype=complex), 5)
+    assert verify_reducing(q, c.as_matrix_symbol()).ambient_dim == 10
+    # the tolerance is keyword-only, so an order in its place is refused
+    with pytest.raises(TypeError):
+        verify_reducing(q, c.as_matrix_symbol(), 16)
 
 
 def test_coordinate_projector_fails_for_non_circulant_symbol():
@@ -187,7 +195,7 @@ def test_coordinate_projector_fails_for_non_circulant_symbol():
     e0 = np.zeros((2, 2), dtype=complex)
     e0[0, 0] = 1.0
     q = OrthogonalProjector(e0, order)
-    rep = verify_reducing(q, phi, order, 1e-10)
+    rep = verify_reducing(q, phi, tolerance=1e-10)
     assert rep.verdict == "not_reducing"
     # dense commutator oracle
     t = truncate(phi, order).data
@@ -203,14 +211,14 @@ def test_commutator_and_block_diagonal_verdicts_agree():
     c = rand_circulant(rng, 3)
     sym = c.as_matrix_symbol()
     for p in reducing_projectors(c, order):
-        rep = verify_reducing(p, sym, order, 1e-10)
+        rep = verify_reducing(p, sym, tolerance=1e-10)
         assert (rep.verdict == "reducing") == (rep.offdiagonal_norm <= 1e-10)
     # a non-reducing instance
     phi = MatrixSymbol.from_entries([[Z, ONE], [2.0 * ONE, ZBAR]])
     e0 = np.zeros((2, 2), dtype=complex)
     e0[0, 0] = 1.0
     q = OrthogonalProjector(e0, order)
-    rep = verify_reducing(q, phi, order, 1e-10)
+    rep = verify_reducing(q, phi, tolerance=1e-10)
     assert (rep.verdict == "reducing") == (rep.offdiagonal_norm <= 1e-10)
 
 
@@ -273,7 +281,7 @@ def commuting_symbol(rng, p, w=3):
 
 
 def assert_matches_dense(q, phi, order, tolerance=1e-10):
-    rep = verify_reducing(q, phi, order, tolerance)
+    rep = verify_reducing(q, phi, tolerance=tolerance)
     r, trivial, verdict, *norms = dense_reducing(q, phi, order, tolerance)
     assert (rep.rank, rep.trivial, rep.verdict) == (r, trivial, verdict)
     for got, want in zip((rep.commutator_T, rep.commutator_Tstar, rep.offdiagonal_norm), norms):

@@ -183,7 +183,7 @@ def test_small_coefficients_are_kept():
 
     def supports(coeffs):
         sym = scalar(coeffs)
-        return (sym.support, sym.as_matrix().support,
+        return (sym.support, MatrixSymbol.from_entries([[sym]]).support,
                 MatrixSymbol(1, {n: [[c]] for n, c in coeffs.items()}).entry(0, 0).support)
 
     # Python's abs and numpy's modulus differ in the last bit for this value

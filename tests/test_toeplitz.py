@@ -11,6 +11,7 @@ from toeplab.circulant import (
     dft_unitary,
 )
 from toeplab.classify import commuting_normal_family, inner_multiple_test
+from toeplab.reducing import OrthogonalProjector, verify_reducing
 from toeplab import toeplitz
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
 from toeplab.toeplitz import (
@@ -274,8 +275,7 @@ def test_the_default_order_is_exact_and_agrees_with_large_orders():
     rng = np.random.default_rng(2025)
     saw = {prop: set() for prop in MARGINS}
     for phi in _exact_order_corpus(rng):
-        m = sum(float(np.linalg.norm(c, 2)) for _, c in
-                (phi.as_matrix() if isinstance(phi, ScalarSymbol) else phi).items())
+        m = sum(float(np.linalg.norm(np.atleast_2d(c), 2)) for _, c in phi.items())
         for prop, margin in MARGINS.items():
             if prop == "f-selfadjoint" and not isinstance(phi, ScalarSymbol):
                 continue
@@ -387,11 +387,21 @@ def test_gu_lee_requires_scalar_symbol():
 
 
 def test_a_1x1_matrix_symbol_reports_as_its_entry():
+    # a scalar symbol is the symbol of block size 1: its sections, reports and
+    # reducing checks are bitwise those of the 1 x 1 matrix symbol
+    assert ScalarSymbol.dim == 1
     rng = np.random.default_rng(23)
     for w in (1, 2, 3):
         phi = rand_scalar(rng, w)
+        block = MatrixSymbol.from_entries([[phi]])
+        for order in (1, 2, 5, 16):
+            assert truncate(phi, order).strips.tobytes() == truncate(block, order).strips.tobytes()
         for prop in MARGINS:
-            assert commutator_report(phi.as_matrix(), prop) == commutator_report(phi, prop)
+            assert commutator_report(block, prop) == commutator_report(phi, prop)
+        for p in (np.eye(1, dtype=complex), np.zeros((1, 1), dtype=complex)):
+            for order in (1, 4, 16):
+                q = OrthogonalProjector(p, order)
+                assert verify_reducing(q, block) == verify_reducing(q, phi)
 
 
 def test_gu_lee_random_corpus_agrees_with_commutator():
