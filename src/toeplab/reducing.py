@@ -35,13 +35,19 @@ PROJECTOR_TOL = 1e-12
 class OrthogonalProjector:
     """The block-constant projector Q = I_N (x) P on C^(N d), stored as its
     d x d block P and the order N.  Its ambient dimension, rank and residuals
-    are read from P; ``matrix`` builds Q only when a caller asks for it."""
+    are read from P; ``matrix`` builds Q only when a caller asks for it.  The
+    order must be an int >= 1 (a bool is refused), else ``ValueError``; P is
+    stored as a read-only copy, so the caller's array stays writable."""
 
     block: np.ndarray
     order: int
 
     def __post_init__(self):
-        self.block.setflags(write=False)
+        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
+            raise ValueError(f"order must be >= 1 and an int (not a bool), got {self.order!r}")
+        block = np.array(self.block)
+        block.setflags(write=False)
+        object.__setattr__(self, "block", block)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -100,8 +106,6 @@ def reducing_projectors(c: CirculantSymbol, order: int) -> list[OrthogonalProjec
     u_k u_k*; each has rank N, they are mutually orthogonal, sum to the
     identity, and commute with the truncation of the circulant symbol.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     u = dft_unitary(c.n)
     return [OrthogonalProjector(np.outer(col, col.conj()), order) for col in u.T]
 

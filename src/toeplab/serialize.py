@@ -66,7 +66,9 @@ def _as_index(key: Any, where: str) -> int:
     return n
 
 
-def parse_matrix(obj: Any) -> MatrixSymbol:
+def _blocks(obj: Any) -> tuple[int, dict[int, list[list[complex]]]]:
+    """The size d and the d x d coefficient blocks, as lists of rows, of a
+    symbol object, with every schema check of both parsers."""
     if not isinstance(obj, dict) or "dim" not in obj:
         raise SymbolFormatError("symbol object must be a dict with a 'dim' field")
     dim = obj["dim"]
@@ -75,26 +77,36 @@ def parse_matrix(obj: Any) -> MatrixSymbol:
     coeffs_obj = obj.get("coeffs", {})
     if not isinstance(coeffs_obj, dict):
         raise SymbolFormatError("'coeffs' must be an object keyed by integer strings")
-    coeffs: dict[int, np.ndarray] = {}
+    blocks: dict[int, list[list[complex]]] = {}
     for key, rows in coeffs_obj.items():
         n = _as_index(key, "coeffs")
         if not isinstance(rows, list) or len(rows) != dim:
             raise SymbolFormatError(f"coeffs[{key!r}]: expected {dim} rows")
-        mat = np.zeros((dim, dim), dtype=complex)
+        block = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != dim:
                 raise SymbolFormatError(f"coeffs[{key!r}] row {i}: expected {dim} entries")
-            for j, pair in enumerate(row):
-                mat[i, j] = _as_complex(pair, f"coeffs[{key!r}][{i}][{j}]")
-        coeffs[n] = mat
-    return MatrixSymbol(dim, coeffs)
+            block.append([_as_complex(pair, f"coeffs[{key!r}][{i}][{j}]")
+                          for j, pair in enumerate(row)])
+        blocks[n] = block
+    return dim, blocks
+
+
+def parse_matrix(obj: Any) -> MatrixSymbol:
+    return MatrixSymbol(*_blocks(obj))
 
 
 def parse_scalar(obj: Any) -> ScalarSymbol:
-    sym = parse_matrix(obj)
-    if sym.dim != 1:
-        raise SymbolFormatError(f"expected a scalar symbol (dim 1), got dim {sym.dim}")
-    return sym.entry(0, 0)
+    """A dim 1 symbol object read straight into a ``ScalarSymbol``, bitwise
+    ``parse_matrix(obj).entry(0, 0)`` and refused with the same errors."""
+    dim, blocks = _blocks(obj)
+    if dim != 1:
+        raise SymbolFormatError(f"expected a scalar symbol (dim 1), got dim {dim}")
+    try:
+        return ScalarSymbol({n: block[0][0] for n, block in blocks.items()})
+    except ValueError:
+        # a modulus beyond the float range: raise the matrix symbol's message
+        return parse_matrix(obj).entry(0, 0)
 
 
 def parse_circulant(obj: Any) -> CirculantSymbol:

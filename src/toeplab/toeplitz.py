@@ -403,7 +403,7 @@ def conjugation_identity_check(phi: MatrixSymbol, order: int) -> float:
     circ = circulant_from_matrix_symbol(phi)
     if order < 1:
         raise ValueError("order must be >= 1")
-    lags, blocks = conjugation_blocks(circ, phi)
+    lags, blocks = conjugation_blocks(circ)
     weights = np.array([order - abs(n) for n in lags], dtype=float)
     inside = weights > 0
     return _weighted_norm(blocks[inside], weights[inside])

@@ -266,10 +266,57 @@ def test_conjugation_blocks_are_bitwise_the_symbol_route():
         want_lags = sorted(set(phi.support) | set(lam.support))
         want = np.array([u.conj().T @ phi.coeff(m) @ u - lam.coeff(m) for m in want_lags],
                         dtype=complex).reshape(-1, c.n, c.n)
-        lags, blocks = conjugation_blocks(c, phi)
+        lags, blocks = conjugation_blocks(c)
         assert lags == want_lags
         assert blocks.shape == want.shape
         assert [_hex(x) for x in blocks.ravel()] == [_hex(x) for x in want.ravel()]
+
+
+def _per_lag_diagonalize_check(c):
+    """The residual formed lag by lag from the circulant's matrix symbol,
+    with the same exact power-of-two scaling as ``diagonalize_check``."""
+    phi = c.as_matrix_symbol()
+    lambdas = _symbol_route_eigen_symbols(c)
+    u = dft_unitary(c.n)
+    blocks = [u.conj().T @ phi.coeff(m) @ u - np.diag([lam.coeff(m) for lam in lambdas])
+              for m in phi.support]
+    e = math.frexp(max((float(np.abs(b.view(float)).max()) for b in blocks), default=0.0))[1]
+    return max((math.ldexp(float(np.linalg.norm(np.ldexp(b.view(float), -e).view(complex))), e)
+                for b in blocks), default=0.0)
+
+
+def test_diagonalize_check_is_bitwise_the_per_lag_route():
+    for c in _bitwise_corpus(seed=34, count=300):
+        assert diagonalize_check(c).hex() == _per_lag_diagonalize_check(c).hex()
+
+
+def test_eigen_symbols_are_folded_once_per_symbol():
+    c = rand_circulant(np.random.default_rng(34), 4)
+    assert circulant_eigen_symbols(c) is circulant_eigen_symbols(c)
+    # an equal symbol built apart folds its own, with the same bits
+    twin = CirculantSymbol(c.row)
+    assert circulant_eigen_symbols(twin) is not circulant_eigen_symbols(c)
+    assert ([_scalar_bits(lam) for lam in circulant_eigen_symbols(twin).lambdas]
+            == [_scalar_bits(lam) for lam in circulant_eigen_symbols(c).lambdas])
+    # a raise is not stored: the second call raises again
+    row = 1e308 * (ONE + ScalarSymbol.monomial(1))
+    big = CirculantSymbol([row, row])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="float range"):
+            circulant_eigen_symbols(big)
+
+
+def test_conjugation_builds_no_matrix_symbol(monkeypatch):
+    corpus = _bitwise_corpus(seed=35, count=40)
+    want = [diagonalize_check(CirculantSymbol(c.row)) for c in corpus]
+
+    def refuse(self):
+        raise AssertionError("as_matrix_symbol called")
+
+    monkeypatch.setattr(CirculantSymbol, "as_matrix_symbol", refuse)
+    assert [diagonalize_check(c) for c in corpus] == want
+    for c in corpus:
+        conjugation_blocks(c)
 
 
 # ---------------------------------------------------------------------------

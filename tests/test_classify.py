@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toeplab import classify
-from toeplab.circulant import CirculantSymbol
+from toeplab.circulant import CirculantSymbol, circulant_eigen_symbols
 from toeplab.classify import (
     ClassificationCertificate,
     block2_condition_system,
@@ -216,6 +216,58 @@ def test_exact_classifiers_agree_with_the_window_route_at_tolerance_zero():
             for c in (True, False)} <= seen
     assert {("generic", "normal", True), ("generic", "normal", False)} <= seen
     assert {c for k, _, c in seen if k == "affine"} == {True}
+
+
+def _gaussian_integer_circulants(rng, count):
+    """Circulants, n in {2, 3, 4}, w <= 2, with Gaussian-integer coefficients
+    whose parts lie in -3..3, in five kinds: generic rows, equal rows,
+    analytic rows, rows alpha_j * f + beta_j over one real-valued f, and
+    monomial rows c_j z^m with one m for all j."""
+    def gauss():
+        return complex(*rng.integers(-3, 4, 2))
+
+    out = []
+    for i in range(count):
+        n, w = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        kind = ("generic", "equal", "analytic", "affine", "monomial")[i % 5]
+        if kind == "generic":
+            rows = [ScalarSymbol({m: gauss() for m in range(-w, w + 1)}) for _ in range(n)]
+        elif kind == "equal":
+            rows = [ScalarSymbol({m: gauss() for m in range(-w, w + 1)})] * n
+        elif kind == "analytic":
+            rows = [ScalarSymbol({m: gauss() for m in range(w + 1)}) for _ in range(n)]
+        elif kind == "affine":
+            half = {m: gauss() for m in range(1, w + 1)}
+            f = ScalarSymbol({0: float(rng.integers(-3, 4)), **half,
+                              **{-m: c.conjugate() for m, c in half.items()}})
+            rows = [gauss() * f + ScalarSymbol.constant(gauss()) for _ in range(n)]
+        else:
+            m = int(rng.integers(-w, w + 1))
+            rows = [ScalarSymbol.monomial(m, gauss()) for _ in range(n)]
+        out.append((kind, CirculantSymbol(rows)))
+    return out
+
+
+def test_exact_circulant_classifiers_agree_with_the_window_route_at_tolerance_zero():
+    # T(Phi) is unitarily equivalent to the direct sum of the T(lambda_k), so
+    # it is binormal (normal) exactly when every eigen-symbol is, and its
+    # window, exact in floats for these coefficients, is clean exactly then
+    seen = set()
+    for kind, c in _gaussian_integer_circulants(np.random.default_rng(34), 500):
+        lambdas = circulant_eigen_symbols(c).lambdas
+        binormal = circulant_binormal_classify(c).aggregate == "binormal"
+        normal = all(brown_halmos_normal_test(lam).verdict == "normal" for lam in lambdas)
+        phi = c.as_matrix_symbol()
+        for prop, holds in (("binormal", binormal), ("normal", normal)):
+            clean = commutator_report(phi, prop, tolerance=0.0).verdict == VERDICT_CLEAN
+            assert holds == clean, (kind, prop, c.row)
+            seen.add((kind, prop, clean))
+    # binormal but not normal shows in the monomial kind, and both verdicts
+    # of both properties in the generic and analytic kinds together
+    assert {("monomial", "binormal", True), ("monomial", "normal", False)} <= seen
+    assert {c for k, _, c in seen if k == "affine"} == {True}
+    assert {(p, c) for k, p, c in seen if k in ("generic", "analytic", "equal")} == {
+        (p, c) for p in ("binormal", "normal") for c in (True, False)}
 
 
 # ---------------------------------------------------------------------------

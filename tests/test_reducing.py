@@ -188,6 +188,25 @@ def test_verify_takes_its_order_from_the_projector():
         verify_reducing(q, c.as_matrix_symbol(), 16)
 
 
+@pytest.mark.parametrize("order", [0, -3, True, 2.0])
+def test_projector_refuses_an_order_that_is_not_a_positive_int(order):
+    # at order 0 no lag would have weight, so the non-reducing
+    # [[z, 1], [2, zbar]] would read reducing; at -3 the residuals are nan
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        OrthogonalProjector(np.diag([1.0, 0.0]).astype(complex), order)
+
+
+def test_projector_stores_a_read_only_copy_of_the_block():
+    p = np.diag([1.0, 0.0]).astype(complex)
+    q = OrthogonalProjector(p, 4)
+    assert p.flags.writeable
+    assert not q.block.flags.writeable
+    p[1, 1] = 1.0
+    assert q.block[1, 1] == 0.0
+    phi = MatrixSymbol.from_entries([[Z, ONE], [2.0 * ONE, ZBAR]])
+    assert verify_reducing(q, phi).verdict == "not_reducing"
+
+
 def test_coordinate_projector_fails_for_non_circulant_symbol():
     # fixed fixture with unequal off-diagonal entries
     phi = MatrixSymbol.from_entries([[Z, ONE], [2.0 * ONE, ZBAR]])

@@ -71,30 +71,61 @@ def scalar_with(pair):
     return {"dim": 1, "coeffs": {"0": [[pair]]}}
 
 
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"dim": True},
-        {"dim": True, "coeffs": {"0": [[[1.0, 0.0]]]}},
-        {"dim": 0},
-        {"dim": 1.0},
-        scalar_with([True, False]),
-        scalar_with([1.0, False]),
-        scalar_with([math.nan, 0.0]),
-        scalar_with([0.0, math.inf]),
-        scalar_with([-math.inf, 0.0]),
-        scalar_with([10**400, 0]),
-        scalar_with([1.0]),
-        scalar_with("1"),
-    ],
-    ids=[
-        "dim-true", "dim-true-coeffs", "dim-zero", "dim-float", "bool-pair", "bool-imag",
-        "nan", "inf", "minus-inf", "int-overflow", "short-pair", "string",
-    ],
-)
+MALFORMED = {
+    "dim-true": {"dim": True},
+    "dim-true-coeffs": {"dim": True, "coeffs": {"0": [[[1.0, 0.0]]]}},
+    "dim-zero": {"dim": 0},
+    "dim-float": {"dim": 1.0},
+    "bool-pair": scalar_with([True, False]),
+    "bool-imag": scalar_with([1.0, False]),
+    "nan": scalar_with([math.nan, 0.0]),
+    "inf": scalar_with([0.0, math.inf]),
+    "minus-inf": scalar_with([-math.inf, 0.0]),
+    "int-overflow": scalar_with([10**400, 0]),
+    "short-pair": scalar_with([1.0]),
+    "string": scalar_with("1"),
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED.values(), ids=MALFORMED.keys())
 def test_parse_matrix_rejects(obj):
     with pytest.raises(SymbolFormatError):
         parse_matrix(obj)
+
+
+def test_parse_scalar_is_bitwise_the_matrix_route():
+    # signed zeros, parts near 1e-16 and parts of mixed scale, in any key order
+    rng = np.random.default_rng(34)
+    parts = [0.0, -0.0, 1e-16, -3e-16, 1.0 / 3.0, -2.5, 1e300]
+
+    def part():
+        return float(rng.choice(parts)) * float(rng.choice([1.0, 0.7, -3.0]))
+
+    for _ in range(500):
+        keys = rng.choice(np.arange(-4, 5), size=int(rng.integers(0, 6)), replace=False)
+        obj = {"dim": 1, "coeffs": {str(int(n)): [[[part(), part()]]] for n in keys}}
+        got, want = parse_scalar(obj), parse_matrix(obj).entry(0, 0)
+        assert ([(n, c.real.hex(), c.imag.hex()) for n, c in got.items()]
+                == [(n, c.real.hex(), c.imag.hex()) for n, c in want.items()])
+
+
+@pytest.mark.parametrize("obj", [
+    *MALFORMED.values(),
+    scalar_with([1.5e308, 1.5e308]),
+    {"dim": 2, "coeffs": {"0": [[[1.0, 0.0]]]}},
+    {"dim": 1, "coeffs": {"0": [[[1.0, 0.0]], [[0.0, 1.0]]]}},
+    {"dim": 1, "coeffs": {"0": [[[1.0, 0.0], [0.0, 1.0]]]}},
+    {"dim": 1, "coeffs": []},
+    {"dim": 1, "coeffs": {"01": [[[1.0, 0.0]]]}},
+    {"coeffs": {}},
+    [1.0, 0.0],
+])
+def test_parse_scalar_refuses_as_the_matrix_route_did(obj):
+    with pytest.raises(ValueError) as want:
+        parse_matrix(obj).entry(0, 0)
+    with pytest.raises(ValueError) as got:
+        parse_scalar(obj)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 @pytest.mark.parametrize("n", [True, 0, 2.0, "2"])
