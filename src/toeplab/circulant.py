@@ -7,6 +7,11 @@ columns U, so U* Phi_n U = Lambda_n holds lag by lag, with Lambda the
 diagonal symbol whose entries are coefficientwise DFTs of the row.  That
 identity between coefficients is how the diagonalization is checked.
 
+A ``CirculantSymbol`` is a ``MatrixSymbol`` that keeps its first row: its
+blocks are views of one read-only stack, the row's coefficients gathered by
+the index ``_rotation(n)``, which ``circulant_from_matrix_symbol`` also reads
+the pattern of any other matrix symbol with.
+
 A ``CirculantSymbol`` is immutable, so its eigen-symbols are folded once and
 stored on it: every later ``circulant_eigen_symbols`` call, the classifier's
 and ``diagonalize_check``'s included, returns the stored ``DiagonalSymbol``.
@@ -55,10 +60,15 @@ def dft_unitary(n: int) -> np.ndarray:
     return matrix
 
 
-class CirculantSymbol:
-    """First-row representation of an n x n circulant matrix symbol."""
+def _rotation(n: int) -> np.ndarray:
+    """The (n, n) index (j - i) mod n: entry (i, j) of a circulant is row[(j - i) mod n]."""
+    return (np.arange(n) - np.arange(n)[:, None]) % n
 
-    __slots__ = ("_n", "_row", "_eigen")
+
+class CirculantSymbol(MatrixSymbol):
+    """The n x n matrix symbol of a circulant, built from its first row."""
+
+    __slots__ = ("_stack", "_row", "_eigen")
 
     def __init__(self, row: Sequence[ScalarSymbol]):
         row = tuple(row)
@@ -66,57 +76,34 @@ class CirculantSymbol:
             raise ValueError("circulant row must be nonempty")
         if not all(isinstance(phi, ScalarSymbol) for phi in row):
             raise TypeError("circulant row entries must be ScalarSymbol")
-        self._n = len(row)
+        # ScalarSymbol has validated every entry: each block is finite and nonzero
+        n = len(row)
+        lags = sorted(set().union(*(phi.support for phi in row)))
+        at = {m: k for k, m in enumerate(lags)}
+        cols = np.zeros((len(lags), n), dtype=complex)
+        for j, phi in enumerate(row):
+            for m, c in phi.items():
+                cols[at[m], j] = c
+        stack = cols[:, _rotation(n)]
+        stack.setflags(write=False)
+        self._dim = n
+        self._coeffs = dict(zip(lags, stack))
+        self._stack = stack
         self._row = row
         self._eigen: DiagonalSymbol | None = None  # set by circulant_eigen_symbols
 
-    @property
-    def n(self) -> int:
-        return self._n
+    n = MatrixSymbol.dim
 
     @property
     def row(self) -> tuple[ScalarSymbol, ...]:
         return self._row
 
-    @property
-    def bandwidth(self) -> int:
-        return max(phi.bandwidth for phi in self._row)
-
-    def _blocks(self) -> tuple[list[int], np.ndarray]:
-        """The lags of the row in increasing order, and the stack of the
-        symbol's coefficient blocks at them, shape (lags, n, n): the (lags, n)
-        array of the row's coefficients gathered at (j - i) mod n."""
-        n = self._n
-        lags = sorted(set().union(*(phi.support for phi in self._row)))
-        at = {m: i for i, m in enumerate(lags)}
-        cols = np.zeros((len(lags), n), dtype=complex)
-        for j, phi in enumerate(self._row):
-            for m, c in phi.items():
-                cols[at[m], j] = c
-        return lags, cols[:, (np.arange(n) - np.arange(n)[:, None]) % n]
-
     def as_matrix_symbol(self) -> MatrixSymbol:
-        """The n x n matrix symbol, entry (i, j) = row[(j - i) mod n].
-
-        Bitwise ``MatrixSymbol.from_entries`` of that grid.
-        """
-        lags, blocks = self._blocks()
-        return MatrixSymbol(self._n, dict(zip(lags, blocks)))
-
-    def __add__(self, other: "CirculantSymbol") -> "CirculantSymbol":
-        if not isinstance(other, CirculantSymbol):
-            return NotImplemented
-        if self._n != other._n:
-            raise ValueError(f"size mismatch: {self._n} vs {other._n}")
-        return CirculantSymbol([a + b for a, b in zip(self._row, other._row)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CirculantSymbol):
-            return NotImplemented
-        return self._n == other._n and self._row == other._row
+        """The same symbol as a plain ``MatrixSymbol``, block for block."""
+        return MatrixSymbol(self._dim, self._coeffs)
 
     def __repr__(self) -> str:
-        return f"CirculantSymbol(n={self._n})"
+        return f"CirculantSymbol(n={self._dim})"
 
 
 class DiagonalSymbol:
@@ -203,9 +190,9 @@ def conjugation_blocks(c: CirculantSymbol) -> tuple[list[int], np.ndarray]:
     """
     n = c.n
     lambdas = circulant_eigen_symbols(c).lambdas
-    lags, blocks = c._blocks()
+    lags = list(c.support)
     u = dft_unitary(n)
-    blocks = u.conj().T @ blocks @ u
+    blocks = u.conj().T @ c._stack @ u
     diag = np.arange(n)
     blocks[:, diag, diag] -= np.array([[lam.coeff(m) for lam in lambdas] for m in lags],
                                       dtype=complex).reshape(-1, n)
@@ -231,14 +218,15 @@ def diagonalize_check(c: CirculantSymbol) -> float:
 
 
 def circulant_from_matrix_symbol(phi: MatrixSymbol) -> CirculantSymbol:
-    """Extract the first row, rejecting symbols that break the rotation pattern."""
+    """The circulant of a matrix symbol with the rotation pattern, ``phi``
+    itself if it is one; else ``CirculantPatternError`` at the first entry
+    (i, j), in row-major order, that differs from row[(j - i) mod n] at some lag."""
+    if isinstance(phi, CirculantSymbol):
+        return phi
     n = phi.dim
-    row = [phi.entry(0, j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if phi.entry(i, j) != row[(j - i) % n]:
-                raise CirculantPatternError(
-                    i, j,
-                    f"entry ({i}, {j}) differs from first-row entry {(j - i) % n}",
-                )
-    return CirculantSymbol(row)
+    stack = np.array([mat for _, mat in phi.items()], dtype=complex).reshape(-1, n, n)
+    bad = np.argwhere((stack != stack[:, 0, _rotation(n)]).any(axis=0))
+    if len(bad):
+        i, j = (int(k) for k in bad[0])
+        raise CirculantPatternError(i, j, f"entry ({i}, {j}) differs from first-row entry {(j - i) % n}")
+    return CirculantSymbol([phi.entry(0, j) for j in range(n)])

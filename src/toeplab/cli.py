@@ -13,6 +13,10 @@ One subcommand per claim family, each taking only the options it reads:
   the ``environment`` (numpy and BLAS versions, BLAS thread variables, CPU
   count) that its timings depend on.
 
+An input, matrix symbol or circulant, parses to a ``MatrixSymbol`` (see
+``serialize``); ``diagonalize`` and ``reduce``, and ``classify`` past dim 1,
+read a matrix input as a circulant with ``circulant_from_matrix_symbol``.
+
 Reports are JSON on stdout or at ``--out``.  The ``--out`` file is opened,
 and emptied, before any work starts, as a shell redirection is: an
 unwritable ``--out`` costs nothing, and a run that fails leaves it empty.
@@ -65,7 +69,6 @@ from .serialize import (
     scalar_to_json,
 )
 from .suite import ACCEPTANCE_SEED, run_suite
-from .symbols import MatrixSymbol
 from .toeplitz import DEFAULT_TOLERANCE, PROPERTIES, commutator_report
 
 EXIT_OK = 0
@@ -118,14 +121,8 @@ def _write_report(report: dict, out: TextIO | None) -> None:
     (out or sys.stdout).write(render_json(report) + "\n")
 
 
-def _as_circulant(parsed: MatrixSymbol | CirculantSymbol) -> CirculantSymbol:
-    if isinstance(parsed, CirculantSymbol):
-        return parsed
-    return circulant_from_matrix_symbol(parsed)
-
-
 def cmd_diagonalize(args: argparse.Namespace) -> int:
-    circ = _as_circulant(load_input(args.input))
+    circ = circulant_from_matrix_symbol(load_input(args.input))
     lam = circulant_eigen_symbols(circ)
     report = {
         "meta": _meta(args),
@@ -138,9 +135,7 @@ def cmd_diagonalize(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    parsed = load_input(args.input)
-    symbol = parsed.as_matrix_symbol() if isinstance(parsed, CirculantSymbol) else parsed
-    report = commutator_report(symbol, args.property, tolerance=args.tolerance)
+    report = commutator_report(load_input(args.input), args.property, tolerance=args.tolerance)
     payload = {
         "meta": _meta(args),
         "property": args.property,
@@ -152,7 +147,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     parsed = load_input(args.input)
-    if isinstance(parsed, MatrixSymbol) and parsed.dim == 1:
+    if parsed.dim == 1 and not isinstance(parsed, CirculantSymbol):
         phi = parsed.entry(0, 0)
         payload = {
             "meta": _meta(args),
@@ -161,7 +156,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "normal": brown_halmos_normal_test(phi).to_json(),
         }
     else:
-        circ = _as_circulant(parsed)
+        circ = circulant_from_matrix_symbol(parsed)
         payload = {
             "meta": _meta(args),
             "kind": "circulant",
@@ -172,8 +167,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    parsed = load_input(args.input)
-    sym = parsed.as_matrix_symbol() if isinstance(parsed, CirculantSymbol) else parsed
+    sym = load_input(args.input)
     image = gamma(sym)
     back = gamma_adjoint(image.circulant)
     payload = {
@@ -187,8 +181,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_probe_t41(args: argparse.Namespace) -> int:
-    parsed = load_input(args.input)
-    sym = parsed.as_matrix_symbol() if isinstance(parsed, CirculantSymbol) else parsed
+    sym = load_input(args.input)
     if sym.dim != 2:
         raise SymbolFormatError(f"probe-t41 requires a 2 x 2 symbol, got dim {sym.dim}")
     rep = theorem41_probe(sym, args.order, args.tolerance)
@@ -198,11 +191,10 @@ def cmd_probe_t41(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    circ = _as_circulant(load_input(args.input))
+    circ = circulant_from_matrix_symbol(load_input(args.input))
     order = args.order
     projectors = reducing_projectors(circ, order)
-    sym = circ.as_matrix_symbol()
-    reports = [verify_reducing(p, sym, tolerance=args.tolerance) for p in projectors]
+    reports = [verify_reducing(p, circ, tolerance=args.tolerance) for p in projectors]
     payload = {
         "meta": _meta(args),
         "n": circ.n,

@@ -131,7 +131,7 @@ def theorem41_probe(
     # block (i, j) of a section is the coefficient at i - j, so the compression
     # of the dilated section is the psi11 section exactly when their
     # coefficients' [0:2, 0:2] components agree at every lag |n| < order
-    big = gamma(phi).circulant.as_matrix_symbol()
+    big = gamma(phi).circulant
     lags = {n for n in (*big.support, *psi11.support) if abs(n) < order}
     compression_exact = all(np.array_equal(big.coeff(n)[:2, :2], psi11.coeff(n)) for n in lags)
     t_psi = truncate(psi11, order).data

@@ -11,6 +11,8 @@ with canonical string integer keys ``n`` ("-2", "0", "3"; not "+3" or
 
     {"circulant": n, "row": [<scalar symbol>, ...]}
 
+Both parse to a ``MatrixSymbol``, a circulant object to a ``CirculantSymbol``.
+
 Reports are rendered with a tiny JSON emitter so that every float is printed
 with 17 significant digits and the output is byte-stable across runs.
 """
@@ -121,14 +123,14 @@ def parse_circulant(obj: Any) -> CirculantSymbol:
     return CirculantSymbol([parse_scalar(x) for x in row_obj])
 
 
-def parse_input(obj: Any) -> MatrixSymbol | CirculantSymbol:
+def parse_input(obj: Any) -> MatrixSymbol:
     """Dispatch on the two accepted top-level forms."""
     if isinstance(obj, dict) and "circulant" in obj:
         return parse_circulant(obj)
     return parse_matrix(obj)
 
 
-def load_input(path: str) -> MatrixSymbol | CirculantSymbol:
+def load_input(path: str) -> MatrixSymbol:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -136,6 +138,8 @@ def load_input(path: str) -> MatrixSymbol | CirculantSymbol:
         raise SymbolFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno} (char {exc.pos})"
         ) from exc
+    except RecursionError:
+        raise SymbolFormatError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
         raise SymbolFormatError(f"{path}: {exc.strerror or exc}") from exc
     return parse_input(obj)

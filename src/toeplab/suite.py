@@ -207,10 +207,7 @@ def criterion_diagonalization(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
 def criterion_conjugation_identity(seed: int = ACCEPTANCE_SEED) -> CriterionResult:
     """Same corpus: blockwise conjugation carries the section onto the diagonal one."""
     rng = _rng(seed, 1)  # same corpus as criterion 1
-    residuals = [
-        conjugation_identity_check(c.as_matrix_symbol(), 32)
-        for c in diagonalization_corpus(rng)
-    ]
+    residuals = [conjugation_identity_check(c, 32) for c in diagonalization_corpus(rng)]
     worst = max(residuals)
     return CriterionResult(
         2,
@@ -226,7 +223,7 @@ def criterion_binormality_transfer(seed: int = ACCEPTANCE_SEED) -> CriterionResu
     disagreements = []
     fixtures = transfer_corpus(rng)
     for i, c in enumerate(fixtures):
-        block = commutator_report(c.as_matrix_symbol(), "binormal", tolerance=NUMERIC_TOL)
+        block = commutator_report(c, "binormal", tolerance=NUMERIC_TOL)
         per = [
             commutator_report(lam, "binormal", tolerance=NUMERIC_TOL)
             for lam in circulant_eigen_symbols(c).lambdas
@@ -388,9 +385,8 @@ def criterion_reducing_subspaces(seed: int = ACCEPTANCE_SEED) -> CriterionResult
         projs = reducing_projectors(c, order)
         if resolution_residual(projs) > 1e-12:
             failures.append({"fixture": i, "problem": "sum_to_identity"})
-        sym = c.as_matrix_symbol()
         for k, p in enumerate(projs):
-            rep = verify_reducing(p, sym, tolerance=RESIDUAL_TOL)
+            rep = verify_reducing(p, c, tolerance=RESIDUAL_TOL)
             if rep.verdict != "reducing":
                 failures.append({"fixture": i, "projector": k, "problem": "commutator"})
     return CriterionResult(

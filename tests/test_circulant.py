@@ -15,7 +15,9 @@ from toeplab.circulant import (
 )
 from pointwise import evaluate, unit_samples
 from toeplab.classify import circulant_binormal_classify
+from toeplab.reducing import reducing_projectors, verify_reducing
 from toeplab.symbols import MatrixSymbol, ScalarSymbol
+from toeplab.toeplitz import PROPERTIES, commutator_report, truncate
 
 ONE = ScalarSymbol.constant(1.0)
 
@@ -403,7 +405,7 @@ def test_eigen_symbol_linearity():
     rng = np.random.default_rng(9)
     a = rand_circulant(rng, 4)
     b = rand_circulant(rng, 4)
-    left = circulant_eigen_symbols(a + b).lambdas
+    left = circulant_eigen_symbols(CirculantSymbol([x + y for x, y in zip(a.row, b.row)])).lambdas
     ea = circulant_eigen_symbols(a).lambdas
     eb = circulant_eigen_symbols(b).lambdas
     for lam, x, y in zip(left, ea, eb):
@@ -456,3 +458,94 @@ def test_from_matrix_symbol_reports_violating_entry():
     with pytest.raises(CirculantPatternError) as err:
         circulant_from_matrix_symbol(phi)
     assert err.value.entry == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# a circulant symbol is a matrix symbol
+
+
+def _matrix_corpus(seed=40):
+    """Seeded circulants of n in {1, 2, 3, 8}, constant or of w in {1, 3}, and zero rows."""
+    rng = np.random.default_rng(seed)
+    corpus = [rand_circulant(rng, n, w) for n in (1, 2, 3, 8) for w in (1, 3) for _ in range(3)]
+    corpus += [CirculantSymbol([const(complex(*rng.standard_normal(2))) for _ in range(n)])
+               for n in (1, 2, 3, 8)]
+    return corpus + [CirculantSymbol([ScalarSymbol.zero()] * n) for n in (1, 2, 3, 8)]
+
+
+def test_a_circulant_symbol_is_its_matrix_symbol():
+    for c in _matrix_corpus():
+        phi = c.as_matrix_symbol()
+        assert isinstance(c, MatrixSymbol)
+        assert c == phi and phi == c
+        assert _matrix_bits(c) == _matrix_bits(phi)
+        assert circulant_from_matrix_symbol(c) is c
+
+
+def test_a_circulants_blocks_are_read_only():
+    for c in _matrix_corpus():
+        for _, mat in c.items():
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 1.0
+
+
+def test_arithmetic_on_a_circulant_returns_a_matrix_symbol():
+    c = rand_circulant(np.random.default_rng(42), 3)
+    for result in (2.0 * c, c * 2.0, c + c, c - c, -c, c * c, c.adjoint()):
+        assert type(result) is MatrixSymbol
+    assert 2.0 * c == c + c
+
+
+def _report_bits(report):
+    return repr(report.to_json())
+
+
+def test_sections_commutators_and_reducing_checks_are_bitwise_the_matrix_symbols():
+    for c in _matrix_corpus():
+        phi = c.as_matrix_symbol()
+        for order in (1, 3, 8):
+            assert truncate(c, order).strips.tobytes() == truncate(phi, order).strips.tobytes()
+            for q in reducing_projectors(c, order):
+                assert _report_bits(verify_reducing(q, c)) == _report_bits(verify_reducing(q, phi))
+        for prop in PROPERTIES:
+            if prop == "f-selfadjoint" and c.dim != 1:
+                continue  # the f-selfadjoint check applies to scalar symbols only
+            assert _report_bits(commutator_report(c, prop)) == _report_bits(commutator_report(phi, prop))
+
+
+def _first_offending_entry(phi):
+    """The pattern check as a double loop over the entry symbols: the first
+    (i, j), in row-major order, whose entry differs from row[(j - i) mod n]."""
+    n = phi.dim
+    row = [phi.entry(0, j) for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if phi.entry(i, j) != row[(j - i) % n]:
+                return i, j
+    return None
+
+
+def test_the_first_offending_entry_is_the_double_loops():
+    rng = np.random.default_rng(43)
+    values = [0.0, 1.0, -0.5j, complex(-0.0, 0.0), 1e-300]
+    broken = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        c = rand_circulant(rng, n, int(rng.integers(1, 3)))
+        blocks = {m: np.array(mat) for m, mat in c.items()}
+        for _ in range(int(rng.integers(0, 3))):
+            m, i, j = int(rng.integers(-2, 3)), *(int(k) for k in rng.integers(n, size=2))
+            blocks.setdefault(m, np.zeros((n, n), dtype=complex))[i, j] = values[int(rng.integers(5))]
+        phi = MatrixSymbol(n, blocks)
+        want = _first_offending_entry(phi)
+        if want is None:
+            assert circulant_from_matrix_symbol(phi) == phi
+            continue
+        broken += 1
+        i, j = want
+        with pytest.raises(CirculantPatternError) as err:
+            circulant_from_matrix_symbol(phi)
+        assert err.value.entry == want
+        assert str(err.value) == f"entry ({i}, {j}) differs from first-row entry {(j - i) % n}"
+    assert broken > 100
+

@@ -195,6 +195,12 @@ def test_classify_reports_circulant_and_scalar(tmp_path):
     assert report["kind"] == "scalar"
     assert report["normal"]["verdict"] == "not_normal"
 
+    # a 1 x 1 circulant is still classified as a circulant
+    one = {"circulant": 1, "row": [scalar]}
+    code, report = _run(tmp_path, "classify", "--input", _write_input(tmp_path, one, "c1.json"))
+    assert code == cli.EXIT_OK
+    assert report["kind"] == "circulant"
+
 
 def test_classify_reports_a_tiny_symbol_by_its_coefficients(tmp_path):
     tiny = {"dim": 1, "coeffs": {"0": [[[1e-16, 0.0]]], "1": [[[1e-16, 0.0]]]}}
@@ -403,3 +409,16 @@ def test_an_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, arg
     if work == "commutator_report":  # the same run with a writable --out does the work once
         assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == cli.EXIT_OK
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"dim": 1, "coeffs": {"0": ' + "[" * 50_000 + "]" * 50_000 + "}}",
+], ids=["list", "coefficient"])
+def test_a_deeply_nested_input_exits_2_without_a_traceback(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["classify", "--input", str(path)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"toeplab: input error: {path}: JSON nested too deeply\n"

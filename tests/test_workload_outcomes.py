@@ -45,7 +45,7 @@ def test_every_check_of_a_pass_is_ok(name, seed):
 
 
 # the scale-tolerance failures of one check-grid pass of 54 checks, per seed
-SCALE_TOLERANCE_CEILING = {1: 3, 2: 6, 3: 3}
+SCALE_TOLERANCE_CEILING = {1: 3, 2: 6, 3: 3, 4: 0, 5: 3, 6: 3, 7: 3, 8: 0, 9: 3, 10: 3}
 
 
 @pytest.mark.parametrize("seed", sorted(SCALE_TOLERANCE_CEILING))
