@@ -58,11 +58,19 @@ def psi_lambda_blocks(
     """
     if phi.dim != 2:
         raise ValueError(f"block extraction is defined for 2 x 2 symbols, got dim {phi.dim}")
+    return _blocks_of_dilation(phi, gamma(phi).circulant)
+
+
+def _blocks_of_dilation(
+    phi: MatrixSymbol, big: CirculantSymbol
+) -> tuple[MatrixSymbol, MatrixSymbol, MatrixSymbol, MatrixSymbol]:
+    """``psi_lambda_blocks`` of the 2 x 2 symbol ``phi``, its dilated
+    circulant ``big`` already built."""
     p0, p1 = phi.entry(0, 0), phi.entry(0, 1)
     p2, p3 = phi.entry(1, 0), phi.entry(1, 1)
     psi11 = MatrixSymbol.from_entries([[p0, p1], [p3, p0]])
     psi22 = MatrixSymbol.from_entries([[p2, p3], [p1, p2]])
-    lams = circulant_eigen_symbols(gamma(phi).circulant).lambdas
+    lams = circulant_eigen_symbols(big).lambdas
     zero = ScalarSymbol.zero()
     lam11 = MatrixSymbol.from_entries([[lams[0], zero], [zero, lams[1]]])
     lam22 = MatrixSymbol.from_entries([[lams[2], zero], [zero, lams[3]]])
@@ -127,11 +135,11 @@ def theorem41_probe(
             f"the probe builds dense sections of {size / 2**20:.0f} MiB each (order {order}), "
             f"above the {CHAIN_BUDGET_BYTES >> 20} MiB budget"
         )
-    psi11, _, lam11, _ = psi_lambda_blocks(phi)
+    big = gamma(phi).circulant
+    psi11, _, lam11, _ = _blocks_of_dilation(phi, big)
     # block (i, j) of a section is the coefficient at i - j, so the compression
     # of the dilated section is the psi11 section exactly when their
     # coefficients' [0:2, 0:2] components agree at every lag |n| < order
-    big = gamma(phi).circulant
     lags = {n for n in (*big.support, *psi11.support) if abs(n) < order}
     compression_exact = all(np.array_equal(big.coeff(n)[:2, :2], psi11.coeff(n)) for n in lags)
     t_psi = truncate(psi11, order).data

@@ -39,19 +39,30 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+# The most characters of an input value an error message echoes.
+_ECHO_LIMIT = 80
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)``, cut to ``_ECHO_LIMIT`` characters ending in "…", so
+    that one malformed value cannot flood the error message."""
+    text = repr(value)
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT - 1] + "…"
+
+
 def _as_complex(value: Any, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
-        raise SymbolFormatError(f"{where}: expected an [re, im] pair, got {value!r}")
+        raise SymbolFormatError(f"{where}: expected an [re, im] pair, got {_shown(value)}")
     try:
         real, imag = float(value[0]), float(value[1])
     except OverflowError:
-        raise SymbolFormatError(f"{where}: {value!r} is out of float range") from None
+        raise SymbolFormatError(f"{where}: {_shown(value)} is out of float range") from None
     if not (math.isfinite(real) and math.isfinite(imag)):
-        raise SymbolFormatError(f"{where}: expected finite numbers, got {value!r}")
+        raise SymbolFormatError(f"{where}: expected finite numbers, got {_shown(value)}")
     return complex(real, imag)
 
 
@@ -64,7 +75,7 @@ def _as_index(key: Any, where: str) -> int:
     except (TypeError, ValueError):
         n = None
     if n is None or str(n) != key:
-        raise SymbolFormatError(f"{where}: coefficient key {key!r} is not a canonical integer")
+        raise SymbolFormatError(f"{where}: coefficient key {_shown(key)} is not a canonical integer")
     return n
 
 
@@ -75,21 +86,21 @@ def _blocks(obj: Any) -> tuple[int, dict[int, list[list[complex]]]]:
         raise SymbolFormatError("symbol object must be a dict with a 'dim' field")
     dim = obj["dim"]
     if not _is_count(dim):
-        raise SymbolFormatError(f"'dim' must be a positive integer, got {dim!r}")
+        raise SymbolFormatError(f"'dim' must be a positive integer, got {_shown(dim)}")
     coeffs_obj = obj.get("coeffs", {})
     if not isinstance(coeffs_obj, dict):
         raise SymbolFormatError("'coeffs' must be an object keyed by integer strings")
     blocks: dict[int, list[list[complex]]] = {}
     for key, rows in coeffs_obj.items():
         n = _as_index(key, "coeffs")
+        at = f"coeffs[{_shown(key)}]"
         if not isinstance(rows, list) or len(rows) != dim:
-            raise SymbolFormatError(f"coeffs[{key!r}]: expected {dim} rows")
+            raise SymbolFormatError(f"{at}: expected {dim} rows")
         block = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != dim:
-                raise SymbolFormatError(f"coeffs[{key!r}] row {i}: expected {dim} entries")
-            block.append([_as_complex(pair, f"coeffs[{key!r}][{i}][{j}]")
-                          for j, pair in enumerate(row)])
+                raise SymbolFormatError(f"{at} row {i}: expected {dim} entries")
+            block.append([_as_complex(pair, f"{at}[{i}][{j}]") for j, pair in enumerate(row)])
         blocks[n] = block
     return dim, blocks
 
@@ -116,7 +127,7 @@ def parse_circulant(obj: Any) -> CirculantSymbol:
         raise SymbolFormatError("circulant object must be a dict with a 'circulant' field")
     n = obj["circulant"]
     if not _is_count(n):
-        raise SymbolFormatError(f"'circulant' must be a positive integer size, got {n!r}")
+        raise SymbolFormatError(f"'circulant' must be a positive integer size, got {_shown(n)}")
     row_obj = obj.get("row")
     if not isinstance(row_obj, list) or len(row_obj) != n:
         raise SymbolFormatError(f"'row' must be a list of {n} scalar symbols")

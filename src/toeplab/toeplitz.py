@@ -44,12 +44,27 @@ widens the Hankel corner by at most w_i).  A window of W + 1 blocks holds all
 of K and every lag n of sigma outside it, at block (W, W - n) for n >= 0 and
 (W + n, W) for n < 0, so its largest entry is that of the infinite operator.
 
+From order 4W + 1 on (``settled_order``) the window's largest entry is the
+same float at every order.  Every dense product that feeds the window then
+gets the same operands at every order: the head rows of each factor and the
+copies of its row ``margin``; tail rows never reach the window.  The window
+holds block rows 0 .. 2W whole, and every later window row, masked or not,
+is a copy of one of them or a part of one, so its maximum is the maximum of
+those rows.  2W and not W because an adjoint of a product of margin W (the
+f-selfadjoint chain's ``f.adjoint()``) reads rows i - W .. i + W of it, so
+its rows are copies only from 2W on, and whole in the window only from
+order 4W + 1 on.
+
 That is the one order policy: ``commutator_matrix`` and ``commutator_report``
 build their product at ``exact_order`` of its margin unless given an order,
 and the 2x2 block checks in ``toeplab.classify`` read theirs at that order.
-Any explicit order >= 1 builds a section; ``window_max_abs`` raises
-``WindowError`` exactly when a product's window is empty (order <= margin),
-and ``ValueError`` when it holds a non-finite entry (the product overflowed).
+``commutator_matrix`` builds a section at any explicit order >= 1;
+``commutator_report`` builds one at an explicit order up to
+``settled_order`` and, above it, reads the settled section's window and
+reports it with the order and window limit asked for.  ``window_max_abs``
+raises ``WindowError`` exactly when a product's window is empty (order <=
+margin), and ``ValueError`` when it holds a non-finite entry (the product
+overflowed).
 ``ToeplitzTruncation.report`` is the one reader that turns a product's window
 into a ``CommutatorReport``; callers that already hold the product read its
 report there instead of rebuilding it.
@@ -57,7 +72,8 @@ report there instead of rebuilding it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -307,6 +323,12 @@ def exact_order(margin: int) -> int:
     return 2 * margin + 1
 
 
+def settled_order(margin: int) -> int:
+    """4 W + 1: from this order on, the window of a product of margin W has
+    the same largest entry, bit for bit, at every order (module docstring)."""
+    return 4 * margin + 1
+
+
 # The largest strip array a commutator chain may build, in bytes.  The
 # chain's peak memory is several times this: the products' dense temporaries
 # come on top of the strips.
@@ -326,6 +348,17 @@ def _refuse_oversized_chain(order: int, d: int, margin: int) -> None:
         )
 
 
+def _product_margin(symbol: MatrixSymbol | ScalarSymbol, property: str) -> int:
+    """The margin of ``property``'s commutator product for ``symbol``; an
+    unknown property, or f-selfadjoint on a block symbol, raises ``ValueError``."""
+    if property not in _PRODUCT_MARGINS:
+        raise ValueError(f"unknown property {property!r}; expected one of {PROPERTIES}")
+    if property == "f-selfadjoint" and symbol.dim != 1:
+        raise ValueError("the f-selfadjoint check applies to scalar symbols only")
+    a, b = _PRODUCT_MARGINS[property]
+    return a * symbol.bandwidth + b
+
+
 def commutator_matrix(
     symbol: MatrixSymbol | ScalarSymbol, property: str, order: int | None = None
 ) -> ToeplitzTruncation:
@@ -342,12 +375,7 @@ def commutator_matrix(
     largest strip array would exceed ``CHAIN_BUDGET_BYTES`` is refused with
     ``ValueError`` before the section is built.
     """
-    if property not in _PRODUCT_MARGINS:
-        raise ValueError(f"unknown property {property!r}; expected one of {PROPERTIES}")
-    if property == "f-selfadjoint" and symbol.dim != 1:
-        raise ValueError("the f-selfadjoint check applies to scalar symbols only")
-    a, b = _PRODUCT_MARGINS[property]
-    margin = a * symbol.bandwidth + b
+    margin = _product_margin(symbol, property)
     if order is None:
         order = exact_order(margin)
     _refuse_oversized_chain(order, symbol.dim, margin)
@@ -379,9 +407,20 @@ def commutator_report(
     This is ``commutator_matrix(...).report(...)``.  By default the order is
     the product's exact order 2W + 1, and the verdict is a proof either way.
     An explicit order only has to exceed the product's margin; at or below
-    it the window is empty and ``WindowError`` is raised.
+    it the window is empty and ``WindowError`` is raised.  Above
+    ``settled_order`` (4W + 1) the window's largest entry no longer depends
+    on the order (module docstring), so the product is built at 4W + 1 and
+    its report carries the order asked for and that order's window limit,
+    (order - W) d: the same report bit for bit, at the cost of order 4W + 1.
     """
-    return commutator_matrix(symbol, property, order).report(property, tolerance)
+    margin = _product_margin(symbol, property)
+    settled = settled_order(margin)
+    if order is None or order <= settled:
+        return commutator_matrix(symbol, property, order).report(property, tolerance)
+    # a non-integer order raises TypeError here, as truncate's does below it
+    order = operator.index(order)
+    report = commutator_matrix(symbol, property, settled).report(property, tolerance)
+    return replace(report, order=order, window_limit=(order - margin) * symbol.dim)
 
 
 def _weighted_norm(blocks: np.ndarray, weights: np.ndarray) -> float:

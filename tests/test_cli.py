@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +412,28 @@ def test_an_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, arg
     if work == "commutator_report":  # the same run with a writable --out does the work once
         assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == cli.EXIT_OK
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "coeffs": {"0": [[' + json.dumps(list(range(100_000))) + "]]}}",
+    '{"dim": 1, "coeffs": {"0": [[' + "[" * 950 + "]" * 950 + "]]}}",
+    '{"dim": ' + json.dumps(list(range(100_000))) + "}",
+    '{"circulant": ' + json.dumps(list(range(100_000))) + ', "row": []}',
+], ids=["wide-pair", "deep-pair", "wide-dim", "wide-circulant-size"])
+def test_a_malformed_value_is_echoed_in_a_short_line(tmp_path, text):
+    # a fresh interpreter, as a user runs it: inside pytest's deeper stack
+    # the 950-deep pair would already be refused as nested too deeply
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "toeplab.cli", "classify", "--input", str(path)],
+                          capture_output=True, env=env, timeout=120)
+    err = proc.stderr.decode("utf-8")
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_PARSE, b"")
+    assert len(proc.stderr) < 1024
+    assert "must be a positive integer" in err or "expected an [re, im] pair" in err
+    assert err.endswith("…\n")
 
 
 @pytest.mark.parametrize("text", [

@@ -201,3 +201,11 @@ def test_probe_refuses_an_order_above_the_budget_before_building_a_section(monke
     assert 64 * 2048**2 == CHAIN_BUDGET_BYTES
     with pytest.raises(ValueError, match="above the 256 MiB budget"):
         theorem41_probe(MatrixSymbol.identity(2), 2049)
+
+
+def test_a_probe_builds_the_dilated_circulant_once(monkeypatch):
+    calls = []
+    real = dilation.gamma
+    monkeypatch.setattr(dilation, "gamma", lambda phi: calls.append(phi) or real(phi))
+    rep = theorem41_probe(rand_matrix(np.random.default_rng(50), 2), 8)
+    assert len(calls) == 1 and rep.compression_exact

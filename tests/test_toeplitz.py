@@ -24,6 +24,7 @@ from toeplab.toeplitz import (
     ToeplitzTruncation,
     conjugation_identity_check,
     exact_order,
+    settled_order,
     truncate,
 )
 
@@ -150,6 +151,9 @@ def test_commutator_rejects_small_orders_and_bad_property():
     assert rep.window_norm == 0.0
     with pytest.raises(ValueError):
         commutator_report(Z, "hyponormal", 32, 1e-8)
+    for order in (4.0, 64.0):  # below and above the settled order 17
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            commutator_report(Z, "binormal", order, 1e-8)
 
 
 def test_normal_check_reads_its_window_just_above_2w():
@@ -674,7 +678,7 @@ def test_a_binormal_check_at_order_4096_reads_its_exact_order_norm_bitwise():
     rng = np.random.default_rng(97)
     phi = MatrixSymbol(8, {n: rng.standard_normal((8, 8, 2)) @ [1, 1j] for n in range(-3, 4)})
     exact = commutator_report(phi, "binormal")
-    far = commutator_report(phi, "binormal", 4096)
+    far = commutator_matrix(phi, "binormal", 4096).report("binormal", 1e-8)
     assert exact.order == 25 and far.window_limit == (4096 - 12) * 8
     assert far.window_norm == exact.window_norm == commutator_report(phi, "binormal", 37).window_norm
 
@@ -686,12 +690,74 @@ def test_a_product_keeps_its_section_small():
     phi = MatrixSymbol(8, {n: rng.standard_normal((8, 8, 2)) @ [1, 1j] for n in range(-3, 4)})
     tracemalloc.start()
     try:
-        rep = commutator_report(phi, "binormal", 1024)
+        rep = commutator_matrix(phi, "binormal", 1024).report("binormal", 1e-8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rep.window_limit == (1024 - 12) * 8
     assert peak < 268e6
+
+
+def _report_bits(rep):
+    """A report's JSON with its window norm as ``float.hex``, so equal means bitwise."""
+    return {**rep.to_json(), "window_norm": float.hex(rep.window_norm)}
+
+
+def _assert_reports_read_their_own_order(phi, props):
+    # above 4M + 1 the report is read from the section at 4M + 1; the oracle
+    # is the section built at the order asked for
+    for prop in props:
+        m = MARGINS[prop](phi.bandwidth)
+        for n in (*range(m + 1, 6 * m + 3), 64, 256, 1000):
+            want = commutator_matrix(phi, prop, n).report(prop, 1e-8)
+            assert _report_bits(commutator_report(phi, prop, n, 1e-8)) == _report_bits(want)
+
+
+def test_the_settled_order_is_four_margins_plus_one():
+    assert [settled_order(m) for m in (0, 1, 4, 12)] == [1, 5, 17, 49]
+
+
+@pytest.mark.parametrize("dim", [1, 4, 8])
+def test_a_check_grid_report_at_any_order_is_its_sections_bitwise(dim):
+    rng = np.random.default_rng(98 + dim)
+    for phi in _check_grid_circulants(rng, dim):
+        _assert_reports_read_their_own_order(phi, ("normal", "quasinormal", "binormal"))
+
+
+def test_a_scalar_report_at_any_order_is_its_sections_bitwise():
+    # a real symbol is normal, so its commutators are rounding noise, which
+    # the window at order 2M + 1 reads from other rows than larger orders do
+    rng = np.random.default_rng(99)
+    for w in (1, 2, 3):
+        for _ in range(3):
+            f = rand_scalar(rng, w)
+            for phi in (f, f + f.conj_reflect()):
+                _assert_reports_read_their_own_order(phi, MARGINS)
+
+
+@pytest.mark.parametrize("phi", [ScalarSymbol.constant(2.5 - 1j), ScalarSymbol.zero()], ids=["constant", "zero"])
+def test_a_report_of_a_margin_0_product_at_any_order_is_its_sections_bitwise(phi):
+    assert phi.bandwidth == 0
+    _assert_reports_read_their_own_order(phi, MARGINS)
+
+
+def test_a_report_at_order_a_million_costs_what_its_settled_order_costs():
+    # the symbol whose chain commutator_matrix refuses at this order
+    phi = MatrixSymbol(8, {1: np.ones((8, 8)), -1: np.eye(8)})
+    for prop in ("normal", "quasinormal", "binormal"):
+        m = MARGINS[prop](phi.bandwidth)
+        tracemalloc.start()
+        try:
+            far = commutator_report(phi, prop, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        settled = commutator_report(phi, prop, settled_order(m))
+        assert (far.order, far.window_limit) == (10**6, (10**6 - m) * 8)
+        assert _report_bits(far) == {**_report_bits(settled), "order": far.order, "window_limit": far.window_limit}
+        assert peak < 10e6
+        with pytest.raises(ValueError, match="'toeplab classify'"):
+            commutator_matrix(phi, prop, 10**6)
 
 
 @pytest.mark.parametrize("phi, order", [
